@@ -13,7 +13,11 @@ linear system (I - D_k G) r_k = D_k (y_k + base_y), D_k = diag(dgamma_k)/2,
 directly: a division when G is diagonal, an n x n solve otherwise.  A step
 where the spectral radius of D_k G reaches 1, or is NaN, is refused with
 MidpointNoConvergence: there the midpoint map is no contraction and the
-system can be singular, so dt is too large for the gain magnitude.
+system can be singular, so dt is too large for the gain magnitude.  For
+non-diagonal G the radius is first bounded by min(||D_k G||_inf,
+||D_k G||_1), an O(n^2) sum per path; only paths that this bound does not
+place below 1 get the exact radius from their eigenvalues, so the refused
+steps and the radius they name are those of an exact check.
 The drive and the open-loop convolution need no rule: only the feedback
 product is interpretation-sensitive.
 
@@ -143,10 +147,34 @@ def _check_increments(
     return dgam, dw
 
 
-def _midpoint_gain(g: np.ndarray) -> np.ndarray:
-    """G's diagonal when G is diagonal (the solve is a division), else G."""
+def _midpoint_gain(g: np.ndarray):
+    """G prepared for _midpoint_solve, once per run.
+
+    Returns (diagonal of G, None) when G is diagonal, where the solve is a
+    division, else (G, (row sums of |G|, |G|)) for the radius bound.
+    """
     diag = np.diagonal(g)
-    return diag.copy() if np.array_equal(g, np.diag(diag)) else g
+    if np.array_equal(g, np.diag(diag)):
+        return diag.copy(), None
+    abs_g = np.abs(g)
+    return g, (abs_g.sum(axis=1), abs_g)
+
+
+def _loop_norm(half, abs_rows, abs_g):
+    """min(||D G||_inf, ||D G||_1) for D = diag(half), per matrix of a stack.
+
+    Any induced norm bounds the spectral radius (Golub & Van Loan,
+    Matrix Computations, sec. 7.1).  The max row sum is |half| times the
+    row sums of |G| and the max column sum is |half| @ |G|, so the bound
+    costs O(n^2) per matrix.  It is raised by 1e-12 relative so that it
+    also covers the rounding of the sums and of eigvals; a non-finite
+    entry gives NaN or inf.
+    """
+    abs_half = np.abs(half)
+    norm = np.minimum(
+        (abs_half * abs_rows).max(axis=-1), (abs_half @ abs_g).max(axis=-1)
+    )
+    return norm * (1.0 + 1e-12)
 
 
 def _midpoint_solve(dgam_k, y_k, base_y, gain, t: float):
@@ -154,33 +182,42 @@ def _midpoint_solve(dgam_k, y_k, base_y, gain, t: float):
 
     base_y is the next output without the feedback contribution and G
     maps a feedback increment to its next-output contribution; gain is
-    G as returned by _midpoint_gain.  The equation is linear in r,
-    (I - D G) r = D (y_k + base_y) with D = diag(dgamma)/2, and is
+    as returned by _midpoint_gain.  The equation is linear in r,
+    (I - D G) r = D (y_k + base_y) with D = diag(dgamma)/2.  It is
     refused with MidpointNoConvergence when the spectral radius of D G
-    is 1 or more, or NaN (a non-finite gain increment).  Works on (n,) vectors and (B, n) batches alike.
+    is 1 or more, or NaN (a non-finite gain increment).  For diagonal G
+    the radius is max |D G|.  Otherwise _loop_norm certifies most
+    matrices below 1, and eigvals computes the exact radius of the rest
+    only, so a refusal names the same radius as an exact check of every
+    matrix would.  Works on (n,) vectors and (B, n) batches alike.
     """
+    g, bound = gain
     half = 0.5 * dgam_k
     rhs = half * (y_k + base_y)
-    if gain.ndim == 1:
-        loop = half * gain
+    if bound is None:
+        loop = half * g
         radius = np.abs(loop).max()
     else:
-        loop = half[..., :, None] * gain
-        # eigvals rejects non-finite input; a NaN radius is refused below
-        radius = (
-            np.abs(np.linalg.eigvals(loop)).max()
-            if np.isfinite(loop).all()
-            else np.nan
-        )
+        loop = half[..., :, None] * g
+        norm = _loop_norm(half, *bound)
+        unsure = loop[~(norm < 1.0)]
+        if not unsure.size:
+            # every matrix is certified; the bound stands in for the radius
+            radius = norm.max()
+        elif np.isfinite(unsure).all():
+            radius = np.abs(np.linalg.eigvals(unsure)).max()
+        else:
+            # eigvals rejects non-finite input
+            radius = np.nan
     if not radius < 1.0:
         raise MidpointNoConvergence(
             f"implicit midpoint step at t={t} has loop spectral radius "
             f"{radius:.6g}, not below 1; reduce dt relative to the gain "
             "magnitude"
         )
-    if gain.ndim == 1:
+    if bound is None:
         return rhs / (1.0 - loop)
-    return np.linalg.solve(np.eye(len(gain)) - loop, rhs[..., None])[..., 0]
+    return np.linalg.solve(np.eye(len(g)) - loop, rhs[..., None])[..., 0]
 
 
 def simulate_path_ito(
@@ -259,15 +296,16 @@ def _simulate_path(sys, noise, config, path_index, midpoint, increments):
         for k in range(n_steps):
             y_k = c @ x
             y[k] = y_k
+            drift = one_step @ x
             if midpoint:
-                base_x = one_step @ x + b @ dw[k]
+                base_x = drift + b @ dw[k]
                 r = _midpoint_solve(dgam[k], y_k, c @ base_x, gain, k * dt)
             else:
                 r = dgam[k] * y_k
             u = dw[k] + r
             r_inc[k] = r
             u_inc[k] = u
-            x = one_step @ x + b @ u
+            x = drift + b @ u
             if not np.isfinite(x).all() or np.abs(x).max() > OVERFLOW_LIMIT:
                 diverged_at = k + 1
                 y[k + 1 :] = np.nan
@@ -422,13 +460,14 @@ def _run_batch(
             dgam_k = dgam[:, j]
             dw_k = dw[:, j]
             if state_scheme:
+                drift = x @ one_step_t
                 if midpoint:
-                    base_x = x @ one_step_t + dw_k @ b_t
+                    base_x = drift + dw_k @ b_t
                     r = _midpoint_solve(dgam_k, y, base_x @ c_t, gain, k * dt)
                 else:
                     r = dgam_k * y
                 u = dw_k + r
-                x_next = x @ one_step_t + u @ b_t
+                x_next = drift + u @ b_t
                 bad = ~np.isfinite(x_next).all(axis=1) | (
                     np.abs(x_next).max(axis=1) > OVERFLOW_LIMIT
                 )

@@ -1,8 +1,12 @@
 """Simulator tests: determinism, discretization oracles, divergence handling."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
@@ -16,9 +20,10 @@ from msslab import (
     RealizationRequired,
     SimulationConfig,
 )
-from msslab.noise import philox_generator
+from msslab.noise import draw_increment_chunk, philox_generator
 from msslab.simulate import (
     _draw_path_increments,
+    _loop_norm,
     increment_independence_test,
     open_loop_terminal_samples,
     quadratic_variation,
@@ -32,6 +37,21 @@ def scalar_block():
 
 def noise(s2, w=1.0):
     return msslab.validate_noise([[s2]], [[w]])
+
+
+# entries of either sign between 1e-3 and 1e3, or zero: products stay in
+# the normal range, where rounding is relative
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def gain_and_increments(draw):
+    """A p x p gain G and a (B, p) stack of gain increments."""
+    p = draw(st.integers(1, 5))
+    batch = draw(st.integers(1, 4))
+    g = draw(hnp.arrays(float, (p, p), elements=_ENTRY))
+    dgam = draw(hnp.arrays(float, (batch, p), elements=_ENTRY))
+    return g, dgam
 
 
 class TestConfig:
@@ -405,6 +425,93 @@ class TestMidpointSolve:
                 msslab.simulate_path(
                     self.TRIANGULAR, self.COUPLED_NOISE, cfg, increments=(dgam, dw)
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(gain_and_increments())
+    def test_norm_bound_never_below_the_radius(self, case):
+        g, dgam = case
+        half = 0.5 * dgam
+        abs_g = np.abs(g)
+        radius = np.abs(np.linalg.eigvals(half[:, :, None] * g)).max(axis=-1)
+        assert (radius <= _loop_norm(half, abs_g.sum(axis=1), abs_g)).all()
+
+    # with G from GENERAL, the increment (2, -1) gives D G norms 1.42 (rows)
+    # and 1.31 (columns) but radius 0.69; (4, 0) gives radius 2 |G_00| > 1
+    UNSURE, REFUSED = (2.0, -1.0), (4.0, 0.0)
+
+    @staticmethod
+    def push_increments(monkeypatch, pushes):
+        """Make draws of path i carry dgamma[k] = pushes[i, k].
+
+        The runs below have fewer steps than one draw chunk, so k indexes
+        the chunk.  simulate_path and run_ensemble draw alike through the
+        patched function; the Philox key names the path.
+        """
+
+        def draw(noise, dt, n_steps, gen):
+            dgam, dw = draw_increment_chunk(noise, dt, n_steps, gen)
+            path = int(gen.bit_generator.state["state"]["key"][1])
+            for (i, k), value in pushes.items():
+                if i == path:
+                    dgam[k] = value
+            return dgam, dw
+
+        monkeypatch.setattr(msslab.simulate, "draw_increment_chunk", draw)
+
+    def midpoint_loop(self, cfg, dgam_k):
+        """D G of one increment, G as the scheme's solve sees it."""
+        block = self.GENERAL
+        if cfg.scheme == "state_space_step":
+            g = block.c @ block.b
+        else:
+            g = impulse_response_grid(block, cfg.dt, 2)[1]
+        return 0.5 * np.asarray(dgam_k)[:, None] * g
+
+    def test_uncertified_step_takes_the_exact_radius(self, monkeypatch):
+        # path 2 hits, at step 10, a D G that the norm bound does not
+        # certify but whose radius is below 1: the step is solved, and the
+        # batch still equals simulate_path bit for bit (convolution sum;
+        # the state-space batch rounds full B and C differently)
+        cfg = SimulationConfig(
+            dt=0.01, horizon=0.3, n_paths=4, seed=9,
+            interpretation="stratonovich", scheme="convolution_sum",
+        )
+        loop = self.midpoint_loop(cfg, self.UNSURE)
+        abs_loop = np.abs(loop)
+        assert min(abs_loop.sum(axis=1).max(), abs_loop.sum(axis=0).max()) >= 1.0
+        assert np.abs(np.linalg.eigvals(loop)).max() < 1.0
+        self.push_increments(monkeypatch, {(2, 10): self.UNSURE})
+        ens = msslab.run_ensemble(
+            self.GENERAL, self.COUPLED_NOISE, cfg, record_increments=True
+        )
+        for i in range(cfg.n_paths):
+            path = msslab.simulate_path(
+                self.GENERAL, self.COUPLED_NOISE, cfg, path_index=i
+            )
+            assert_array_equal(ens.r_paths[i], path.r_increments)
+            if i == 2:
+                pushed = path
+        midpoint = 0.5 * self.UNSURE[0] * (pushed.y[10, 0] + pushed.y[11, 0])
+        assert_allclose(pushed.r_increments[10, 0], midpoint, rtol=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_refusal_names_the_exact_radius(self, scheme, monkeypatch):
+        # the same batch with path 1 pushed past radius 1 at step 10 is
+        # refused there, naming that path's exact radius
+        cfg = SimulationConfig(
+            dt=0.01, horizon=0.3, n_paths=4, seed=9,
+            interpretation="stratonovich", scheme=scheme,
+        )
+        radius = np.abs(np.linalg.eigvals(self.midpoint_loop(cfg, self.REFUSED))).max()
+        assert radius >= 1.0
+        self.push_increments(
+            monkeypatch, {(2, 10): self.UNSURE, (1, 10): self.REFUSED}
+        )
+        message = re.escape(f"at t={10 * cfg.dt} has loop spectral radius {radius:.6g},")
+        with pytest.raises(MidpointNoConvergence, match=message):
+            msslab.run_ensemble(self.GENERAL, self.COUPLED_NOISE, cfg)
+        with pytest.raises(MidpointNoConvergence, match=message):
+            msslab.simulate_path(self.GENERAL, self.COUPLED_NOISE, cfg, path_index=1)
 
     def test_scalar_refusal_boundary(self):
         # D G = dgamma / 2 for the unit scalar loop: 1.99 is solved, 2.0
