@@ -24,7 +24,6 @@ from .loopgain import (
     covariance_sandwich,
     equivalent_ito_system,
     lgo_matrix_apply,
-    lgo_matrix_kronecker,
     make_lgo,
     spectral_radius_power,
 )
@@ -121,24 +120,10 @@ def _truncated_h2_squared(block: LtiSystem) -> float:
     return float(np.einsum("k,kab,kab->", weights, kernel, kernel))
 
 
-def _dense_operator_matrix(
-    sys: LtiSystem, noise: NoiseSpec, interpretation: str, handle: LoopGainHandle
-) -> np.ndarray:
-    if sys.is_state_space:
-        return lgo_matrix_kronecker(sys, noise.gamma_cov, interpretation)
-    return lgo_matrix_apply(handle)
-
-
-def _solve_steady_state(
-    sys: LtiSystem,
-    noise: NoiseSpec,
-    interpretation: str,
-    handle: LoopGainHandle,
-) -> SteadyState:
-    n = noise.n_gains
-    k_matrix = _dense_operator_matrix(sys, noise, interpretation, handle)
-    lhs = np.eye(n * n) - k_matrix
-    rhs = noise.w_cov.flatten(order="F")
+def _solve_steady_state(handle: LoopGainHandle, w_cov: np.ndarray) -> SteadyState:
+    n = handle.n_loop
+    lhs = np.eye(n * n) - lgo_matrix_apply(handle)
+    rhs = w_cov.flatten(order="F")
     try:
         vec_u = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -157,7 +142,7 @@ def _solve_steady_state(
     u_bar = 0.5 * (u_bar + u_bar.T)
     y_bar = covariance_sandwich(handle, u_bar)
     y_bar = 0.5 * (y_bar + y_bar.T)
-    r_bar = noise.gamma_cov * y_bar
+    r_bar = handle.gamma_cov * y_bar
     return SteadyState(u_bar=u_bar, r_bar=r_bar, y_bar=y_bar)
 
 
@@ -214,7 +199,7 @@ def analyze(
     mss = bool(h2_finite and spectral.rho < 1.0)
     steady_state = None
     if mss:
-        steady_state = _solve_steady_state(sys, noise, interpretation, handle)
+        steady_state = _solve_steady_state(handle, noise.w_cov)
     return MssVerdict(
         interpretation=interpretation,
         mss=mss,

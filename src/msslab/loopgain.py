@@ -13,9 +13,14 @@ Ito loops use M directly.  Stratonovich loops are converted first: the
 equivalent Ito block has the drift correction A + B((CB) o gamma_cov)C/2,
 and the operator integrates that block's kernel.
 
-Two interchangeable backends realize the integral: a Lyapunov solve
-(exact, needs a Hurwitz realization) and trapezoid quadrature over a
-finite horizon (also covers sampled kernels and non-Hurwitz diagnostics).
+:func:`make_lgo` builds the unmasked integral once, as a p^2 x p^2
+matrix S in the column-major vec basis (vec of the integral = S vec X),
+and caches it on the handle; every apply, the dense operator matrix and
+the steady-state solve read that one matrix.  Two backends build S: a
+Kronecker-sum solve of the Lyapunov equation (exact, needs a Hurwitz
+realization) and trapezoid quadrature over a finite horizon (also covers
+sampled kernels and non-Hurwitz diagnostics).  The spectral radius has
+two routes over S: power iteration and dense eigenvalues.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .system import (
     LtiSystem,
     impulse_response_grid,
     is_hurwitz,
-    kron_lyapunov_solve,
     make_state_space,
 )
 
@@ -112,21 +116,6 @@ def equivalent_ito_system(sys: LtiSystem, gamma_cov) -> LtiSystem:
     return make_state_space(sys.a + sys.b @ gain @ sys.c, sys.b, sys.c)
 
 
-def lyapunov_solve(a, q) -> np.ndarray:
-    """Solve A X + X A^T + Q = 0 for Hurwitz A.
-
-    Symmetric Q gives a symmetric X (symmetrized against rounding).
-    """
-    a = np.asarray(a, dtype=float)
-    if not is_hurwitz(a):
-        raise NotHurwitz("A has an eigenvalue with real part >= -1e-9")
-    x = kron_lyapunov_solve(a, q)
-    q = np.asarray(q, dtype=float)
-    if np.abs(q - q.T).max() <= 1e-12 * max(1.0, float(np.abs(q).max())):
-        x = 0.5 * (x + x.T)
-    return x
-
-
 def _auto_quadrature(block: LtiSystem) -> tuple[float, float]:
     if block.is_state_space:
         slowest = float(np.max(np.linalg.eigvals(block.a).real))
@@ -137,21 +126,51 @@ def _auto_quadrature(block: LtiSystem) -> tuple[float, float]:
     return horizon, block.sample_dt
 
 
+def _lyapunov_matrix(block: LtiSystem) -> np.ndarray:
+    """S = (C (x) C) (-(I (x) A + A (x) I))^{-1} (B (x) B), one solve
+    with p^2 right-hand sides."""
+    if not is_hurwitz(block.a):
+        raise NotHurwitz(
+            "equivalent block is not Hurwitz; the untruncated operator "
+            "matrix does not exist"
+        )
+    eye = np.eye(block.n_state)
+    kron_sum = np.kron(eye, block.a) + np.kron(block.a, eye)
+    try:
+        inner = np.linalg.solve(-kron_sum, np.kron(block.b, block.b))
+    except np.linalg.LinAlgError as exc:
+        raise SingularKroneckerSum(
+            f"Kronecker sum of the block drift is singular: {exc}"
+        ) from exc
+    return np.kron(block.c, block.c) @ inner
+
+
+def _quadrature_matrix(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S = sum_k w_k (M_k (x) M_k) as one Gram product of the flattened
+    kernel stack, O(K p^4), without forming any Kronecker product."""
+    count, p, _ = kernel.shape
+    flat = kernel.reshape(count, p * p)
+    gram = (flat * weights[:, None]).T @ flat
+    # gram[(a, c), (b, d)] = sum_k w_k M_k[a, c] M_k[b, d] is the entry of
+    # S at output vec index a + b p and input vec index c + d p.
+    return gram.reshape(p, p, p, p).transpose(2, 0, 3, 1).reshape(p * p, p * p)
+
+
 @dataclass(frozen=True)
 class LoopGainHandle:
-    """Prepared operator: equivalent block, mask, and backend data.
+    """Prepared operator: equivalent block, mask, and operator matrix.
 
     ``block`` is the kernel-bearing system (the conversion already
-    applied for Stratonovich loops).  Quadrature handles carry their
-    kernel stack and trapezoid weights so repeated applies are cheap.
+    applied for Stratonovich loops).  ``matrix`` is the unmasked
+    p^2 x p^2 operator S in the column-major vec basis, built once by
+    the backend: vec(integral of M X M*) = S vec(X).
     """
 
     block: LtiSystem
     gamma_cov: np.ndarray
     interpretation: str
     backend: LyapunovBackend | QuadratureBackend
-    kernel: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    matrix: np.ndarray
 
     @property
     def n_loop(self) -> int:
@@ -164,7 +183,11 @@ def make_lgo(
     interpretation: str = "ito",
     backend: LyapunovBackend | QuadratureBackend | None = None,
 ) -> LoopGainHandle:
-    """Prepare the loop gain operator for repeated application."""
+    """Prepare the loop gain operator: build and cache its matrix.
+
+    The Lyapunov backend raises NotHurwitz for a non-Hurwitz equivalent
+    block and SingularKroneckerSum when the Kronecker sum is singular.
+    """
     _check_interpretation(interpretation)
     gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
     if backend is None:
@@ -178,8 +201,6 @@ def make_lgo(
         block = equivalent_ito_system(sys, gamma_cov)
     else:
         block = sys
-    kernel = None
-    weights = None
     if isinstance(backend, QuadratureBackend):
         horizon, dt = backend.horizon, backend.dt
         auto_horizon, auto_dt = _auto_quadrature(block)
@@ -200,6 +221,7 @@ def make_lgo(
         kernel = impulse_response_grid(block, dt, count + 1)
         weights = np.full(count + 1, dt)
         weights[0] = weights[-1] = 0.5 * dt
+        matrix = _quadrature_matrix(kernel, weights)
         backend = QuadratureBackend(horizon=count * dt, dt=dt)
     elif isinstance(backend, LyapunovBackend):
         if not block.is_state_space:
@@ -207,6 +229,7 @@ def make_lgo(
                 "Lyapunov backend needs a state-space realization; "
                 "use the quadrature backend for sampled kernels"
             )
+        matrix = _lyapunov_matrix(block)
     else:
         raise TypeError(f"unknown backend {backend!r}")
     return LoopGainHandle(
@@ -214,8 +237,7 @@ def make_lgo(
         gamma_cov=gamma_cov,
         interpretation=interpretation,
         backend=backend,
-        kernel=kernel,
-        weights=weights,
+        matrix=matrix,
     )
 
 
@@ -233,30 +255,12 @@ def covariance_sandwich(handle: LoopGainHandle, x) -> np.ndarray:
     """The unmasked integral of M(tau) X M*(tau): the output covariance
     rate produced by input covariance rate X through the block."""
     x = _check_operand(handle, x)
-    if isinstance(handle.backend, LyapunovBackend):
-        block = handle.block
-        xbar = lyapunov_solve(block.a, block.b @ x @ block.b.T)
-        return block.c @ xbar @ block.c.T
-    weighted = handle.kernel * handle.weights[:, None, None]
-    return np.einsum("kac,kbc->ab", weighted @ x, handle.kernel)
-
-
-def apply_lgo_lyapunov(handle: LoopGainHandle, x) -> np.ndarray:
-    """L(X) through the Lyapunov realization backend."""
-    if not isinstance(handle.backend, LyapunovBackend):
-        raise ValueError("handle was not built with the Lyapunov backend")
-    return handle.gamma_cov * covariance_sandwich(handle, x)
-
-
-def apply_lgo_quadrature(handle: LoopGainHandle, x) -> np.ndarray:
-    """L(X) through trapezoid quadrature of the kernel stack."""
-    if not isinstance(handle.backend, QuadratureBackend):
-        raise ValueError("handle was not built with the quadrature backend")
-    return handle.gamma_cov * covariance_sandwich(handle, x)
+    n = handle.n_loop
+    return (handle.matrix @ x.flatten(order="F")).reshape((n, n), order="F")
 
 
 def apply_lgo(handle: LoopGainHandle, x) -> np.ndarray:
-    """L(X) with whichever backend the handle carries."""
+    """L(X): the gamma_cov mask of the handle's matrix applied to X."""
     return handle.gamma_cov * covariance_sandwich(handle, x)
 
 
@@ -323,61 +327,18 @@ def lgo_matrix_kronecker(
     """Dense matrix of the operator in the column-major vec basis.
 
     K = Diag(vec gamma_cov) (C (x) C) (-(A_k (x) I + I (x) A_k))^{-1} (B (x) B)
-    so that vec(L(X)) = K vec(X).  Dense oracle for desk-scale loops;
-    cross-checks the power iteration and feeds the steady-state solve.
+    so that vec(L(X)) = K vec(X): the Lyapunov handle's matrix, masked.
+    Raises RealizationRequired for a sampled kernel and NotHurwitz when
+    the equivalent block is not Hurwitz.
     """
-    _check_interpretation(interpretation)
-    gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
-    if not sys.is_state_space:
-        raise RealizationRequired(
-            "the Kronecker matrix needs a state-space realization"
-        )
-    block = (
-        equivalent_ito_system(sys, gamma_cov)
-        if interpretation == "stratonovich"
-        else sys
-    )
-    n_state = block.n_state
-    n = gamma_cov.shape[0]
-    if n * n > 256 or n_state * n_state > 256:
-        raise DimensionMismatch(
-            f"dense operator matrix is limited to 16 channels/states, "
-            f"got {n} loop channels and {n_state} states"
-        )
-    if not is_hurwitz(block.a):
-        raise NotHurwitz(
-            "equivalent block is not Hurwitz; the untruncated operator "
-            "matrix does not exist"
-        )
-    eye = np.eye(n_state)
-    kron_sum = np.kron(eye, block.a) + np.kron(block.a, eye)
-    try:
-        inner = np.linalg.solve(-kron_sum, np.kron(block.b, block.b))
-    except np.linalg.LinAlgError as exc:
-        raise SingularKroneckerSum(
-            f"Kronecker sum of the block drift is singular: {exc}"
-        ) from exc
-    k_matrix = gamma_cov.flatten(order="F")[:, None] * (
-        np.kron(block.c, block.c) @ inner
-    )
-    return k_matrix
+    handle = make_lgo(sys, gamma_cov, interpretation, LyapunovBackend())
+    return lgo_matrix_apply(handle)
 
 
 def lgo_matrix_apply(handle: LoopGainHandle) -> np.ndarray:
-    """Dense operator matrix built column-by-column with apply_lgo.
-
-    Backend-independent twin of lgo_matrix_kronecker; the route sampled
-    kernels take to a steady-state solve.
-    """
-    n = handle.n_loop
-    k_matrix = np.empty((n * n, n * n))
-    basis = np.zeros((n, n))
-    for j in range(n):
-        for i in range(n):
-            basis[i, j] = 1.0
-            k_matrix[:, i + j * n] = apply_lgo(handle, basis).flatten(order="F")
-            basis[i, j] = 0.0
-    return k_matrix
+    """Dense operator matrix Diag(vec gamma_cov) S of a prepared handle,
+    for either backend; the steady-state solve reads it."""
+    return handle.gamma_cov.flatten(order="F")[:, None] * handle.matrix
 
 
 def spectral_radius_dense(k_matrix) -> float:

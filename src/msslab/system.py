@@ -260,78 +260,3 @@ def h2_norm_squared(sys: LtiSystem) -> float:
     x = 0.5 * (x + x.T)
     return float(np.trace(sys.c @ x @ sys.c.T))
 
-
-def spectral_norm(mat, tol: float = 1e-12, max_iter: int = 1000) -> float:
-    """Largest singular value via power iteration on M^T M."""
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-    if m.size == 0 or not np.any(m):
-        return 0.0
-    n_cols = m.shape[1]
-    v = np.ones(n_cols) + 1e-3 * np.arange(n_cols)
-    v /= np.linalg.norm(v)
-    if np.linalg.norm(m @ v) == 0.0:
-        for i in range(n_cols):
-            if np.linalg.norm(m[:, i]) > 0.0:
-                v = np.zeros(n_cols)
-                v[i] = 1.0
-                break
-        else:
-            return 0.0
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        estimate = float(np.linalg.norm(w))
-        if estimate == 0.0:
-            return 0.0
-        v = m.T @ w
-        scale = np.linalg.norm(v)
-        if scale == 0.0:
-            return estimate
-        v /= scale
-        if abs(estimate - sigma) <= tol * max(estimate, 1.0):
-            return estimate
-        sigma = estimate
-    return sigma
-
-
-@dataclass(frozen=True)
-class VariationProfile:
-    """Diagnostic variation of a sampled kernel over its horizon."""
-
-    total_variation: float
-    quadratic_variation: float
-    horizon: float
-
-
-def variation_profile(values, dt: float) -> VariationProfile:
-    """Total and quadratic variation of a matrix-valued sample sequence.
-
-    Sums spectral norms (and squared norms) of consecutive differences.
-    A heuristic for spotting jumpy kernels; smooth kernels have quadratic
-    variation shrinking like O(dt).
-    """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be positive, got {dt}")
-    samples = np.array(values, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None, None]
-    if samples.ndim != 3:
-        raise DimensionMismatch(
-            f"samples must be a sequence of matrices, got shape {samples.shape}"
-        )
-    if samples.shape[0] < 2:
-        raise TooFewSamples(
-            f"need at least 2 samples, got {samples.shape[0]}"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise NonFinite("samples contain NaN or infinity")
-    norms = np.array(
-        [spectral_norm(samples[k + 1] - samples[k]) for k in range(samples.shape[0] - 1)]
-    )
-    return VariationProfile(
-        total_variation=float(norms.sum()),
-        quadratic_variation=float((norms ** 2).sum()),
-        horizon=float((samples.shape[0] - 1) * dt),
-    )

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_loop, random_psd
+from conftest import random_loop, random_psd, random_stable_matrix
 from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
@@ -100,6 +100,34 @@ class TestVerdicts:
                 atol=1e-10 * scale,
             )
             assert_allclose(ss.r_bar, gamma * ss.y_bar, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_large_state_loop_gets_steady_state(self, interpretation):
+        # 22 states, 4 channels: past any per-state cap on the operator
+        # matrix, which is checked against a Kronecker build done here
+        rng = np.random.default_rng(303)
+        n, p = 22, 4
+        a = random_stable_matrix(rng, n)
+        b = rng.standard_normal((n, p)) / np.sqrt(n)
+        c = rng.standard_normal((p, n)) / np.sqrt(n)
+        gamma = 20.0 * random_psd(rng, p)
+        w_cov = random_psd(rng, p) + 0.1 * np.eye(p)
+        v = msslab.analyze(
+            msslab.make_state_space(a, b, c),
+            msslab.validate_noise(gamma, w_cov),
+            interpretation,
+        )
+        if interpretation == "stratonovich":
+            a = a + b @ (0.5 * (c @ b) * gamma) @ c
+        eye = np.eye(n)
+        inner = np.linalg.solve(-(np.kron(eye, a) + np.kron(a, eye)), np.kron(b, b))
+        k = gamma.flatten(order="F")[:, None] * (np.kron(c, c) @ inner)
+        rho = float(np.abs(np.linalg.eigvals(k)).max())
+        assert v.mss
+        assert abs(v.rho - rho) <= 1e-9 * rho
+        u = v.steady_state.u_bar.flatten(order="F")
+        residual = np.linalg.norm(u - w_cov.flatten(order="F") - k @ u)
+        assert residual <= 1e-9 * np.linalg.norm(u)
 
     def test_worst_case_cov_exposes_perron_matrix(self):
         v = msslab.analyze(scalar_block(), noise(1.0), "ito")

@@ -207,44 +207,3 @@ class TestLyapunovAndH2:
         assert not msslab.is_hurwitz(np.array([[0.0]]))
         assert not msslab.is_hurwitz(np.array([[1e-12]]))
 
-
-class TestSpectralNorm:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(106)
-        for _ in range(100):
-            rows, cols = rng.integers(1, 5, size=2)
-            mat = rng.standard_normal((int(rows), int(cols)))
-            assert_allclose(
-                msslab.spectral_norm(mat),
-                np.linalg.norm(mat, 2),
-                rtol=1e-9,
-                atol=1e-12,
-            )
-
-    def test_rank_deficient(self):
-        mat = np.outer([1.0, 2.0], [3.0, 0.0, 4.0])
-        assert_allclose(msslab.spectral_norm(mat), np.linalg.norm(mat, 2), rtol=1e-9)
-
-    def test_zero_matrix(self):
-        assert msslab.spectral_norm(np.zeros((3, 3))) == 0.0
-
-
-class TestVariationProfile:
-    def test_exponential_kernel(self):
-        # total variation of e^{-t} on [0, T] telescopes to 1 - e^{-T}
-        dt, count = 1e-3, 2001
-        t = np.arange(count) * dt
-        values = np.exp(-t).reshape(count, 1, 1)
-        profile = msslab.variation_profile(values, dt)
-        horizon = (count - 1) * dt
-        assert_allclose(profile.total_variation, 1.0 - math.exp(-horizon), rtol=1e-10)
-        # quadratic variation of a C^1 kernel shrinks like dt
-        expected_qv = dt * (1.0 - math.exp(-2.0 * horizon)) / 2.0
-        assert_allclose(profile.quadratic_variation, expected_qv, rtol=1e-2)
-        assert_allclose(profile.horizon, horizon)
-
-    def test_step_kernel_quadratic_variation(self):
-        values = np.array([0.0, 1.0, 1.0, 0.0]).reshape(4, 1, 1)
-        profile = msslab.variation_profile(values, 0.5)
-        assert_allclose(profile.total_variation, 2.0)
-        assert_allclose(profile.quadratic_variation, 2.0)
