@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGrid, DimensionMismatch, NonFinite, NotMss, SingularFixedPoint
+from .errors import (
+    BadGrid,
+    DimensionMismatch,
+    NonFinite,
+    NotHurwitz,
+    NotMss,
+    SingularFixedPoint,
+)
 from .loopgain import (
     LoopGainHandle,
     LyapunovBackend,
@@ -30,9 +37,7 @@ from .loopgain import (
 from .noise import NoiseSpec
 from .system import (
     LtiSystem,
-    h2_norm_squared,
     impulse_response_grid,
-    is_hurwitz,
     matrix_exponential,
 )
 
@@ -172,24 +177,22 @@ def analyze(
     else:
         block = sys
 
+    quad = QuadratureBackend(horizon=options.quad_horizon, dt=options.quad_dt)
     if block.is_state_space:
-        h2_squared = h2_norm_squared(block)
+        try:
+            handle = make_lgo(sys, noise.gamma_cov, interpretation, LyapunovBackend())
+        except NotHurwitz:
+            handle = make_lgo(sys, noise.gamma_cov, interpretation, quad)
+            h2_squared = math.inf
+            flags.append("rho_truncated_horizon")
+        else:
+            h2_squared = handle.h2_squared
         h2_finite = math.isfinite(h2_squared)
     else:
+        handle = make_lgo(sys, noise.gamma_cov, interpretation, quad)
         h2_squared = _truncated_h2_squared(block)
         h2_finite = True
-        flags.append("h2_truncated_grid")
-
-    quad = QuadratureBackend(horizon=options.quad_horizon, dt=options.quad_dt)
-    if block.is_state_space and is_hurwitz(block.a):
-        backend = LyapunovBackend()
-    elif block.is_state_space:
-        backend = quad
-        flags.append("rho_truncated_horizon")
-    else:
-        backend = quad
-        flags.append("rho_sample_grid")
-    handle = make_lgo(sys, noise.gamma_cov, interpretation, backend)
+        flags.extend(("h2_truncated_grid", "rho_sample_grid"))
     spectral = spectral_radius_power(
         handle, tol=options.power_tol, max_iter=options.power_max_iter
     )

@@ -61,7 +61,9 @@ class StratonovichNeedsRealization(RealizationRequired):
 
 
 class SingularKroneckerSum(SingularSystem):
-    """The Kronecker-sum matrix of the Lyapunov equation is singular."""
+    """The Lyapunov equation, whose operator is the Kronecker sum of the
+    drift with itself, has no accurate solution: a sign-iteration iterate
+    was singular or the result failed its residual check."""
 
 
 class NotMss(MsslabError):

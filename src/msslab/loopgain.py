@@ -15,12 +15,15 @@ and the operator integrates that block's kernel.
 
 :func:`make_lgo` builds the unmasked integral once, as a p^2 x p^2
 matrix S in the column-major vec basis (vec of the integral = S vec X),
-and caches it on the handle; every apply, the dense operator matrix and
-the steady-state solve read that one matrix.  Two backends build S: a
-Kronecker-sum solve of the Lyapunov equation (exact, needs a Hurwitz
-realization) and trapezoid quadrature over a finite horizon (also covers
-sampled kernels and non-Hurwitz diagnostics).  The spectral radius has
-two routes over S: power iteration and dense eigenvalues.
+and caches it on the handle; every apply, the dense operator matrix,
+the steady-state solve and the H2 norm (trace of S vec I) read that one
+matrix.  Two backends build S.  The Lyapunov backend (exact, needs a
+Hurwitz realization) solves A X_cd + X_cd A^T + b_c b_d^T = 0 for all
+p^2 channel pairs at once by the scaled matrix-sign iteration, O(n^3 p^2)
+with a residual check, and reads column c + d p of S as vec(C X_cd C^T).
+Trapezoid quadrature over a finite horizon also covers sampled kernels
+and non-Hurwitz diagnostics.  The spectral radius has two routes over S:
+power iteration and dense eigenvalues.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from .errors import (
     NonFinite,
     NotHurwitz,
     RealizationRequired,
-    SingularKroneckerSum,
     StratonovichNeedsRealization,
 )
 from .noise import _psd_factor
 from .system import (
     LtiSystem,
+    _lyapunov_sign_stack,
     impulse_response_grid,
     is_hurwitz,
     make_state_space,
@@ -127,22 +130,17 @@ def _auto_quadrature(block: LtiSystem) -> tuple[float, float]:
 
 
 def _lyapunov_matrix(block: LtiSystem) -> np.ndarray:
-    """S = (C (x) C) (-(I (x) A + A (x) I))^{-1} (B (x) B), one solve
-    with p^2 right-hand sides."""
+    """S[:, c + d p] = vec(C X_cd C^T), where A X_cd + X_cd A^T + b_c b_d^T
+    = 0; one sign-iteration solve on the (p^2, n, n) stack of b_c b_d^T."""
     if not is_hurwitz(block.a):
         raise NotHurwitz(
             "equivalent block is not Hurwitz; the untruncated operator "
             "matrix does not exist"
         )
-    eye = np.eye(block.n_state)
-    kron_sum = np.kron(eye, block.a) + np.kron(block.a, eye)
-    try:
-        inner = np.linalg.solve(-kron_sum, np.kron(block.b, block.b))
-    except np.linalg.LinAlgError as exc:
-        raise SingularKroneckerSum(
-            f"Kronecker sum of the block drift is singular: {exc}"
-        ) from exc
-    return np.kron(block.c, block.c) @ inner
+    n, p = block.b.shape
+    rhs = np.einsum("ic,jd->dcij", block.b, block.b).reshape(p * p, n, n)
+    out = block.c @ _lyapunov_sign_stack(block.a, rhs) @ block.c.T
+    return out.transpose(0, 2, 1).reshape(p * p, p * p).T
 
 
 def _quadrature_matrix(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -176,6 +174,14 @@ class LoopGainHandle:
     def n_loop(self) -> int:
         return self.gamma_cov.shape[0]
 
+    @property
+    def h2_squared(self) -> float:
+        """trace(mat(S vec I)), the trace of the integral of M M*: the
+        squared H2 norm of the block (horizon-truncated under quadrature).
+        The trace sums the entries of S at vec indices a + a p."""
+        p = self.n_loop
+        return float(self.matrix[:: p + 1, :: p + 1].sum())
+
 
 def make_lgo(
     sys: LtiSystem,
@@ -186,7 +192,8 @@ def make_lgo(
     """Prepare the loop gain operator: build and cache its matrix.
 
     The Lyapunov backend raises NotHurwitz for a non-Hurwitz equivalent
-    block and SingularKroneckerSum when the Kronecker sum is singular.
+    block and SingularKroneckerSum when its Lyapunov solve fails the
+    residual check.
     """
     _check_interpretation(interpretation)
     gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))

@@ -129,6 +129,36 @@ class TestVerdicts:
         residual = np.linalg.norm(u - w_cov.flatten(order="F") - k @ u)
         assert residual <= 1e-9 * np.linalg.norm(u)
 
+    def test_256_state_loop_against_modal_closed_form(self):
+        # A = Q diag(l) Q^T: with B~ = Q^T B and C~ = C Q the operator is
+        # S[a + b p, c + d p] = sum_ij C~_ai B~_ic C~_bj B~_jd / -(l_i + l_j)
+        rng = np.random.default_rng(304)
+        n, p = 256, 2
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = -np.linspace(0.5, 3.0, n)
+        b = rng.standard_normal((n, p)) / np.sqrt(n)
+        c = rng.standard_normal((p, n)) / np.sqrt(n)
+        gamma = 60.0 * random_psd(rng, p)
+        w_cov = random_psd(rng, p) + 0.1 * np.eye(p)
+        v = msslab.analyze(
+            msslab.make_state_space(q @ np.diag(lam) @ q.T, b, c),
+            msslab.validate_noise(gamma, w_cov),
+            "ito",
+        )
+        bt, ct = q.T @ b, c @ q
+        inv_sum = 1.0 / -(lam[:, None] + lam[None, :])
+        s4 = np.einsum("ai,ic,bj,jd,ij->badc", ct, bt, ct, bt, inv_sum)
+        s = s4.reshape(p * p, p * p)
+        k = gamma.flatten(order="F")[:, None] * s
+        rho = float(np.abs(np.linalg.eigvals(k)).max())
+        h2 = float(np.sum((ct.T @ ct) * (bt @ bt.T) * inv_sum))
+        assert v.mss
+        assert abs(v.rho - rho) <= 1e-10 * rho
+        assert abs(v.h2_squared - h2) <= 1e-10 * h2
+        u = v.steady_state.u_bar.flatten(order="F")
+        residual = np.linalg.norm(u - w_cov.flatten(order="F") - k @ u)
+        assert residual <= 1e-9 * np.linalg.norm(u)
+
     def test_worst_case_cov_exposes_perron_matrix(self):
         v = msslab.analyze(scalar_block(), noise(1.0), "ito")
         assert_array_equal(v.worst_case_cov, v.spectral.eigen_matrix)

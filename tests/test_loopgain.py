@@ -3,14 +3,16 @@ spectral-radius routes.
 
 The dense-matrix route is the oracle for the power iteration, the
 Lyapunov backend is the oracle for quadrature, and per-basis Lyapunov
-solves are the oracle for the dense matrix; scalar cases additionally
-have closed forms, computed inline.
+solves are the oracle for the dense matrix.  The sign-iteration build of
+that matrix is checked against a Kronecker-sum solve done here with
+np.kron; scalar and diagonal cases additionally have closed forms,
+computed inline.
 """
 
 import numpy as np
 import pytest
 from conftest import random_loop, random_psd
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -23,12 +25,29 @@ from msslab import (
     NotHurwitz,
     QuadratureBackend,
     RealizationRequired,
+    SingularKroneckerSum,
     StratonovichNeedsRealization,
 )
+
+INTERPRETATIONS = ("ito", "stratonovich")
 
 
 def scalar_block(a=1.0):
     return msslab.make_state_space([[-a]], [[1.0]], [[1.0]])
+
+
+def drift(sys, gamma, interpretation):
+    """Drift of the equivalent Ito block, from the conversion formula."""
+    if interpretation == "ito":
+        return sys.a
+    return sys.a + sys.b @ (0.5 * (sys.c @ sys.b) * gamma) @ sys.c
+
+
+def kron_operator(a, b, c):
+    """S = (C (x) C) (-(I (x) A + A (x) I))^{-1} (B (x) B), dense."""
+    eye = np.eye(a.shape[0])
+    inner = np.linalg.solve(-(np.kron(eye, a) + np.kron(a, eye)), np.kron(b, b))
+    return np.kron(c, c) @ inner
 
 
 class TestStratonovichConversion:
@@ -267,6 +286,83 @@ class TestBackendErrors:
         unstable = msslab.make_state_space([[0.5]], [[1.0]], [[1.0]])
         with pytest.raises(NotHurwitz):
             msslab.lgo_matrix_kronecker(unstable, [[1.0]], "ito")
+
+
+class TestSignLyapunov:
+    """Sign-iteration build of S on the cases that stress it."""
+
+    @pytest.mark.parametrize("interpretation", INTERPRETATIONS)
+    def test_jordan_block(self, interpretation):
+        # A = -I + 3N is far from normal and |S| is about 1e20.  B drives
+        # odd states and C reads even ones, so C B = 0 exactly and the
+        # Stratonovich conversion must leave the block as it is: any
+        # correction would push this block's eigenvalues past zero.
+        n = 24
+        rng = np.random.default_rng(210)
+        a = -np.eye(n) + 3.0 * np.eye(n, k=1)
+        b = np.zeros((n, 2))
+        c = np.zeros((2, n))
+        b[1::2] = rng.standard_normal((n // 2, 2))
+        c[:, ::2] = rng.standard_normal((2, n // 2))
+        sys = msslab.make_state_space(a, b, c)
+        gamma = random_psd(rng, 2)
+        handle = msslab.make_lgo(sys, gamma, interpretation)
+        want = kron_operator(drift(sys, gamma, interpretation), b, c)
+        scale = np.abs(want).max()
+        assert scale > 1e18
+        assert np.abs(handle.matrix - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("interpretation", INTERPRETATIONS)
+    def test_eigenvalue_spread(self, interpretation, monkeypatch):
+        # diag(-1e-6, -1, -2): S = sum_ij (C_i B_i)(C_j B_j) / (-l_i - l_j),
+        # for both interpretations since C B = 0.  The scaled iteration
+        # takes 7 steps here and the unscaled one 25, so a cap of 10 steps
+        # holds only with the determinant scaling.
+        lam = np.array([-1e-6, -1.0, -2.0])
+        b = np.ones((3, 1))
+        c = np.array([[1.0, -2.0, 1.0]])
+        sys = msslab.make_state_space(np.diag(lam), b, c)
+        gamma = [[0.7]]
+        monkeypatch.setattr(msslab.system, "LYAPUNOV_MAX_ITER", 10)
+        handle = msslab.make_lgo(sys, gamma, interpretation)
+        cb = c[0] * b[:, 0]
+        closed = np.sum(np.outer(cb, cb) / -(lam[:, None] + lam[None, :]))
+        assert abs(handle.matrix[0, 0] - closed) <= 1e-12 * closed
+        want = kron_operator(drift(sys, gamma, interpretation), b, c)
+        assert abs(handle.matrix[0, 0] - want[0, 0]) <= 1e-12 * closed
+
+    def test_capped_iteration_refused(self, monkeypatch):
+        # a solve cut short fails the residual check: refused, never a
+        # wrong S or H2 norm
+        sys = msslab.make_state_space(
+            np.diag([-1e-6, -1.0, -2.0]), np.ones((3, 1)), [[1.0, -2.0, 1.0]]
+        )
+        monkeypatch.setattr(msslab.system, "LYAPUNOV_MAX_ITER", 1)
+        with pytest.raises(SingularKroneckerSum, match="residual"):
+            msslab.make_lgo(sys, [[1.0]], "ito")
+        with pytest.raises(SingularKroneckerSum, match="residual"):
+            msslab.h2_norm_squared(sys)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(INTERPRETATIONS))
+    def test_matches_kronecker_solve(self, seed, interpretation):
+        rng = np.random.default_rng(seed)
+        sys, gamma = random_loop(rng, n_max=8, p_max=3)
+        a = drift(sys, gamma, interpretation)
+        assume(msslab.is_hurwitz(a))
+        handle = msslab.make_lgo(sys, gamma, interpretation)
+        want = kron_operator(a, sys.b, sys.c)
+        assert np.abs(handle.matrix - want).max() <= 1e-10 * np.abs(want).max()
+        # H2 read from S, from the single-right-hand-side solve, and dense
+        h2 = msslab.h2_norm_squared(handle.block)
+        x = msslab.kron_lyapunov_solve(a, sys.b @ sys.b.T)
+        h2_dense = np.trace(sys.c @ x @ sys.c.T)
+        assert abs(handle.h2_squared - h2) <= 1e-10 * h2
+        assert abs(h2 - h2_dense) <= 1e-10 * h2_dense
+        # L maps PSD to PSD
+        out = msslab.apply_lgo(handle, random_psd(rng, sys.n_in))
+        floor = -1e-10 * max(1.0, np.abs(out).max())
+        assert np.linalg.eigvalsh(out).min() >= floor
 
 
 class TestPsdPreservation:
