@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadGrid,
-    DimensionMismatch,
     NonFinite,
     NotHurwitz,
     NotMss,
@@ -28,6 +27,7 @@ from .loopgain import (
     QuadratureBackend,
     SpectralResult,
     _check_interpretation,
+    _check_loop_noise,
     covariance_sandwich,
     equivalent_ito_system,
     lgo_matrix_apply,
@@ -100,24 +100,6 @@ class MssVerdict:
         return self.spectral.eigen_matrix if self.spectral is not None else None
 
 
-def _check_loop_noise(sys: LtiSystem, noise: NoiseSpec) -> None:
-    if sys.n_in != sys.n_out:
-        raise DimensionMismatch(
-            f"feedback loop needs a square block, got {sys.n_out} outputs "
-            f"and {sys.n_in} inputs"
-        )
-    if noise.n_gains != sys.n_in:
-        raise DimensionMismatch(
-            f"gamma_cov is {noise.n_gains}x{noise.n_gains} but the block "
-            f"has {sys.n_in} loop channels"
-        )
-    if noise.n_drive != sys.n_in:
-        raise DimensionMismatch(
-            f"w_cov is {noise.n_drive}x{noise.n_drive} but the additive "
-            f"drive shares the {sys.n_in}-channel loop input"
-        )
-
-
 def _truncated_h2_squared(block: LtiSystem) -> float:
     kernel = block.samples
     weights = np.full(kernel.shape[0], block.sample_dt)
@@ -172,13 +154,8 @@ def analyze(
     _check_loop_noise(sys, noise)
     flags: list[str] = []
 
-    if interpretation == "stratonovich":
-        block = equivalent_ito_system(sys, noise.gamma_cov)
-    else:
-        block = sys
-
     quad = QuadratureBackend(horizon=options.quad_horizon, dt=options.quad_dt)
-    if block.is_state_space:
+    if sys.is_state_space:
         try:
             handle = make_lgo(sys, noise.gamma_cov, interpretation, LyapunovBackend())
         except NotHurwitz:
@@ -190,7 +167,7 @@ def analyze(
         h2_finite = math.isfinite(h2_squared)
     else:
         handle = make_lgo(sys, noise.gamma_cov, interpretation, quad)
-        h2_squared = _truncated_h2_squared(block)
+        h2_squared = _truncated_h2_squared(handle.block)
         h2_finite = True
         flags.extend(("h2_truncated_grid", "rho_sample_grid"))
     spectral = spectral_radius_power(

@@ -41,7 +41,7 @@ from .errors import (
     RealizationRequired,
     StratonovichNeedsRealization,
 )
-from .noise import _psd_factor
+from .noise import NoiseSpec, _psd_factor
 from .system import (
     LtiSystem,
     _lyapunov_sign_stack,
@@ -77,6 +77,26 @@ def _check_loop(sys: LtiSystem, gamma_cov: np.ndarray) -> np.ndarray:
             f"gamma_cov is {n}x{n} but the block has {sys.n_in} loop channels"
         )
     return gamma_cov
+
+
+def _check_loop_noise(sys: LtiSystem, noise: NoiseSpec) -> None:
+    """Square block, with both noise covariances sized to its channels;
+    a mismatch names the covariance that is wrong."""
+    if sys.n_in != sys.n_out:
+        raise DimensionMismatch(
+            f"feedback loop needs a square block, got {sys.n_out} outputs "
+            f"and {sys.n_in} inputs"
+        )
+    if noise.n_gains != sys.n_in:
+        raise DimensionMismatch(
+            f"gamma_cov is {noise.n_gains}x{noise.n_gains} but the block "
+            f"has {sys.n_in} loop channels"
+        )
+    if noise.n_drive != sys.n_in:
+        raise DimensionMismatch(
+            f"w_cov is {noise.n_drive}x{noise.n_drive} but the additive "
+            f"drive shares the {sys.n_in}-channel loop input"
+        )
 
 
 @dataclass(frozen=True)
@@ -200,11 +220,6 @@ def make_lgo(
     if backend is None:
         backend = LyapunovBackend()
     if interpretation == "stratonovich":
-        if not sys.is_state_space:
-            raise StratonovichNeedsRealization(
-                "Stratonovich loop gain needs a state-space realization "
-                "(the conversion has no sampled form)"
-            )
         block = equivalent_ito_system(sys, gamma_cov)
     else:
         block = sys

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NonPositiveDt, NotPsd, NotSymmetric
+from .errors import DimensionMismatch, NonFinite, NotPsd, NotSymmetric
 
 SYMMETRY_TOL = 1e-12
 
@@ -84,36 +84,10 @@ def validate_noise(gamma_cov, w_cov) -> NoiseSpec:
     )
 
 
-@dataclass(frozen=True)
-class RngState:
-    """Explicit, immutable sampling state: (seed, call counter)."""
-
-    seed: int
-    counter: int = 0
-
-
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator for one named stream of a seed (counter-based Philox)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_increments(
-    spec: NoiseSpec, dt: float, state: RngState
-) -> tuple[np.ndarray, np.ndarray, RngState]:
-    """One step of gain and drive increments, threading the rng state.
-
-    Returns (dgamma, dw, next_state); dgamma ~ N(0, gamma_cov*dt) and
-    dw ~ N(0, w_cov*dt), mutually independent.  The same state always
-    yields the same draw.
-    """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be positive, got {dt}")
-    gen = philox_generator(state.seed, state.counter)
-    root_dt = np.sqrt(dt)
-    dgamma = spec.gamma_factor @ gen.standard_normal(spec.n_gains) * root_dt
-    dw = spec.w_factor @ gen.standard_normal(spec.n_drive) * root_dt
-    return dgamma, dw, RngState(seed=state.seed, counter=state.counter + 1)
 
 
 def draw_increment_chunk(

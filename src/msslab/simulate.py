@@ -23,19 +23,18 @@ product is interpretation-sensitive.
 
 Two schemes: the state-space step above, and the literal convolution sum
 y_N = sum_{k<N} M(t_N - t_k) u_k (O(N^2), works for sampled kernels and
-doubles as an oracle for the recursion).
+doubles as an oracle for the recursion).  Each scheme is one step object
+that advances a (B, p) batch of paths by one step under either rule; a
+single path is a batch of one.
 
 Paths are reproducible and order-independent: path i draws from a Philox
-stream keyed (seed, i) in fixed chunks, so single-path runs, ensembles,
-and any parallel schedule see identical noise.  Ensembles reduce batch
-partial sums in fixed batch order; MSSLAB_THREADS (0 = auto) caps the
-worker threads without changing output.
+stream keyed (seed, i) in fixed chunks, so single-path runs and
+ensembles see identical noise.  Ensembles run serially in fixed batches
+of paths and add each batch's per-time sums in batch order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .errors import (
     NonPositiveDt,
     RealizationRequired,
 )
-from .loopgain import _check_interpretation
+from .loopgain import _check_interpretation, _check_loop_noise
 from .noise import NoiseSpec, draw_increment_chunk, philox_generator
 from .system import LtiSystem, impulse_response_grid
 
@@ -254,93 +253,132 @@ def simulate_path(
     return _simulate_path(sys, noise, config, path_index, midpoint, increments)
 
 
-def _check_loop_shapes(sys: LtiSystem, noise: NoiseSpec) -> None:
-    if sys.n_in != sys.n_out:
-        raise DimensionMismatch(
-            f"feedback loop needs a square block, got {sys.n_out} outputs "
-            f"and {sys.n_in} inputs"
-        )
-    if noise.n_gains != sys.n_in or noise.n_drive != sys.n_in:
-        raise DimensionMismatch(
-            f"noise dimensions ({noise.n_gains} gains, {noise.n_drive} "
-            f"drive) must equal the {sys.n_in} loop channels"
-        )
+def _overflowed(rows: np.ndarray) -> np.ndarray:
+    """Rows holding a non-finite entry or one above OVERFLOW_LIMIT.
+
+    max propagates NaN and NaN <= limit is false, so one comparison
+    catches NaN, infinity and overflow alike.
+    """
+    return ~(np.abs(rows).max(axis=1) <= OVERFLOW_LIMIT)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _simulate_path(sys, noise, config, path_index, midpoint, increments):
-    _check_loop_shapes(sys, noise)
-    n_steps = config.n_steps
-    dt = config.dt
-    if increments is None:
-        gen = philox_generator(config.seed, path_index)
-        dgam, dw = _draw_path_increments(noise, dt, n_steps, gen)
-    else:
-        dgam, dw = _check_increments(noise, n_steps, increments)
-    n_out = sys.n_out
-    y = np.zeros((n_steps + 1, n_out))
-    r_inc = np.zeros((n_steps, sys.n_in))
-    u_inc = np.zeros((n_steps, sys.n_in))
-    diverged_at = None
+class _StateSpaceStep:
+    """The Euler step x_{k+1} = (I + A dt) x_k + B u_k, y = C x; owns x.
 
-    if config.scheme == "state_space_step":
+    Holds the midpoint gain G = C B.  States are the rows of a (B, n)
+    array; one path is a batch of one.
+    """
+
+    def __init__(self, sys: LtiSystem, config: SimulationConfig, midpoint: bool):
         if not sys.is_state_space:
             raise RealizationRequired(
                 "the state-space scheme needs a realization; use the "
                 "convolution_sum scheme for sampled kernels"
             )
-        a, b, c = sys.a, sys.b, sys.c
-        one_step = np.eye(sys.n_state) + a * dt
-        gain = _midpoint_gain(c @ b)
-        x = np.zeros(sys.n_state)
-        for k in range(n_steps):
-            y_k = c @ x
-            y[k] = y_k
-            drift = one_step @ x
-            if midpoint:
-                base_x = drift + b @ dw[k]
-                r = _midpoint_solve(dgam[k], y_k, c @ base_x, gain, k * dt)
-            else:
-                r = dgam[k] * y_k
-            u = dw[k] + r
-            r_inc[k] = r
-            u_inc[k] = u
-            x = drift + b @ u
-            if not np.isfinite(x).all() or np.abs(x).max() > OVERFLOW_LIMIT:
-                diverged_at = k + 1
-                y[k + 1 :] = np.nan
-                break
-        else:
-            y[n_steps] = c @ x
-    else:
-        kernel = impulse_response_grid(sys, dt, n_steps + 1)
-        gain = _midpoint_gain(kernel[1])
-        y_k = np.zeros(n_out)
-        for k in range(n_steps):
-            y[k] = y_k
-            if midpoint:
-                base_y = np.einsum(
-                    "jym,jm->y", kernel[k + 1 : 1 : -1], u_inc[:k]
-                ) + np.einsum("ym,m->y", kernel[1], dw[k])
-                r = _midpoint_solve(dgam[k], y_k, base_y, gain, k * dt)
-            else:
-                r = dgam[k] * y_k
-            u = dw[k] + r
-            r_inc[k] = r
-            u_inc[k] = u
-            y_k = np.einsum("jym,jm->y", kernel[k + 1 : 0 : -1], u_inc[: k + 1])
-            if not np.isfinite(y_k).all() or np.abs(y_k).max() > OVERFLOW_LIMIT:
-                diverged_at = k + 1
-                y[k + 1 :] = np.nan
-                break
-        else:
-            y[n_steps] = y_k
+        self.one_step_t = (np.eye(sys.n_state) + sys.a * config.dt).T
+        self.b_t, self.c_t = sys.b.T, sys.c.T
+        self.gain = _midpoint_gain(sys.c @ sys.b)
+        self.midpoint = midpoint
+        self.dt = config.dt
 
+    def reset(self, batch_size: int) -> np.ndarray:
+        """Start batch_size paths at rest; returns their (B, p) output."""
+        self.x = np.zeros((batch_size, len(self.one_step_t)))
+        return np.zeros((batch_size, self.c_t.shape[1]))
+
+    def __call__(self, k, y, dgam_k, dw_k):
+        """Step k of every row: returns r, u, y_{k+1} and the rows whose
+        state overflowed."""
+        drift = self.x @ self.one_step_t
+        if self.midpoint:
+            base_y = (drift + dw_k @ self.b_t) @ self.c_t
+            r = _midpoint_solve(dgam_k, y, base_y, self.gain, k * self.dt)
+        else:
+            r = dgam_k * y
+        u = dw_k + r
+        self.x = drift + u @ self.b_t
+        return r, u, self.x @ self.c_t, _overflowed(self.x)
+
+    def kill(self, dead: np.ndarray, k: int) -> None:
+        """Zero the state of the dead rows; they go on from rest."""
+        self.x[dead] = 0.0
+
+
+class _ConvolutionStep:
+    """The sum y_{k+1} = sum_{j<=k} M(t_{k+1} - t_j) u_j; owns the u history.
+
+    Holds the kernel grid and the midpoint gain G = M(dt).
+    """
+
+    def __init__(self, sys: LtiSystem, config: SimulationConfig, midpoint: bool):
+        self.kernel = impulse_response_grid(sys, config.dt, config.n_steps + 1)
+        self.gain = _midpoint_gain(self.kernel[1])
+        self.midpoint = midpoint
+        self.dt = config.dt
+        self.n_steps = config.n_steps
+
+    def reset(self, batch_size: int) -> np.ndarray:
+        """Start batch_size paths at rest; returns their (B, p) output."""
+        _, n_out, n_in = self.kernel.shape
+        self.u_hist = np.zeros((batch_size, self.n_steps, n_in))
+        return np.zeros((batch_size, n_out))
+
+    def __call__(self, k, y, dgam_k, dw_k):
+        """Step k of every row: returns r, u, y_{k+1} and the rows whose
+        output overflowed."""
+        kernel, u_hist = self.kernel, self.u_hist
+        if self.midpoint:
+            base_y = np.einsum(
+                "pjm,jym->py", u_hist[:, :k], kernel[k + 1 : 1 : -1]
+            ) + np.einsum("pm,ym->py", dw_k, kernel[1])
+            r = _midpoint_solve(dgam_k, y, base_y, self.gain, k * self.dt)
+        else:
+            r = dgam_k * y
+        u = dw_k + r
+        u_hist[:, k] = u
+        y_next = np.einsum("pjm,jym->py", u_hist[:, : k + 1], kernel[k + 1 : 0 : -1])
+        return r, u, y_next, _overflowed(y_next)
+
+    def kill(self, dead: np.ndarray, k: int) -> None:
+        """Zero the history of the dead rows up to step k; they go on from
+        rest."""
+        self.u_hist[dead, : k + 1] = 0.0
+
+
+_STEPS = {"state_space_step": _StateSpaceStep, "convolution_sum": _ConvolutionStep}
+
+
+# Overflow at the divergence-detection step is expected data, not an
+# error: a path stops there, and a batch freezes its dead rows at zero.
+@np.errstate(over="ignore", invalid="ignore")
+def _simulate_path(sys, noise, config, path_index, midpoint, increments):
+    _check_loop_noise(sys, noise)
+    n_steps = config.n_steps
+    if increments is None:
+        gen = philox_generator(config.seed, path_index)
+        dgam, dw = _draw_path_increments(noise, config.dt, n_steps, gen)
+    else:
+        dgam, dw = _check_increments(noise, n_steps, increments)
+    step = _STEPS[config.scheme](sys, config, midpoint)
+    step.reset(1)
+    # (step, 1, p) arrays: index k is the one-row batch of step k
+    y = np.zeros((n_steps + 1, 1, sys.n_out))
+    r_inc = np.zeros((n_steps, 1, sys.n_in))
+    u_inc = np.zeros((n_steps, 1, sys.n_in))
+    dgam, dw = dgam[:, None], dw[:, None]
+    diverged_at = None
+    for k in range(n_steps):
+        r_inc[k], u_inc[k], y_next, bad = step(k, y[k], dgam[k], dw[k])
+        if bad[0]:
+            diverged_at = k + 1
+            y[k + 1 :] = np.nan
+            break
+        y[k + 1] = y_next
     return PathResult(
         times=config.times,
-        y=y,
-        u_increments=u_inc,
-        r_increments=r_inc,
+        y=y[:, 0],
+        u_increments=u_inc[:, 0],
+        r_increments=r_inc[:, 0],
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
     )
@@ -372,27 +410,8 @@ class SimulationEnsemble:
     u_paths: np.ndarray | None = None
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        raw = os.environ.get("MSSLAB_THREADS", "").strip()
-        if raw:
-            try:
-                max_workers = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"MSSLAB_THREADS must be an integer, got {raw!r}"
-                ) from None
-        else:
-            max_workers = 0
-    if max_workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {max_workers}")
-    if max_workers == 0:
-        return max(1, os.cpu_count() or 1)
-    return max_workers
-
-
-class _BatchStats:
-    """Fixed-order partial sums for one contiguous block of paths."""
+class _EnsembleSums:
+    """Per-time sums over the paths, added batch by batch in path order."""
 
     def __init__(self, n_steps: int):
         self.sum_y2 = np.zeros(n_steps + 1)
@@ -402,46 +421,24 @@ class _BatchStats:
         self.sum_qv = np.zeros(n_steps + 1)
 
 
-def _record_time(stats, k, y, alive, qv_run):
+def _record_time(sums, k, y, alive, qv_run):
     s = np.einsum("pj,pj->p", y, y)
     s_alive = np.where(alive, s, 0.0)
-    stats.sum_y2[k] += s_alive.sum()
-    stats.sum_y4[k] += (s_alive * s_alive).sum()
-    stats.alive_count[k] += int(alive.sum())
-    stats.sum_qv[k] += np.where(alive, qv_run, 0.0).sum()
+    sums.sum_y2[k] += s_alive.sum()
+    sums.sum_y4[k] += (s_alive * s_alive).sum()
+    sums.alive_count[k] += int(alive.sum())
+    sums.sum_qv[k] += np.where(alive, qv_run, 0.0).sum()
 
 
-# Overflow at the divergence-detection step is expected data, not an
-# error; dead paths are frozen at zero right after detection.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_batch(
-    sys,
-    noise,
-    config,
-    midpoint,
-    first_path,
-    batch_size,
-    kernel,
-    r_store,
-    u_store,
-):
+def _run_batch(step, noise, config, first_path, batch_size, sums, r_store, u_store):
     n_steps = config.n_steps
     dt = config.dt
-    stats = _BatchStats(n_steps)
     gens = [
         philox_generator(config.seed, first_path + i) for i in range(batch_size)
     ]
-    state_scheme = config.scheme == "state_space_step"
-    if state_scheme:
-        a, b, c = sys.a, sys.b, sys.c
-        one_step_t = (np.eye(sys.n_state) + a * dt).T
-        b_t, c_t = b.T, c.T
-        gain = _midpoint_gain(c @ b)
-        x = np.zeros((batch_size, sys.n_state))
-    else:
-        gain = _midpoint_gain(kernel[1])
-        u_hist = np.zeros((batch_size, n_steps, sys.n_in))
-    y = np.zeros((batch_size, sys.n_out))
+    rows = slice(first_path, first_path + batch_size)
+    y = step.reset(batch_size)
     y_prev = np.zeros_like(y)
     qv_run = np.zeros(batch_size)
     alive = np.ones(batch_size, dtype=bool)
@@ -456,69 +453,25 @@ def _run_batch(
             if k > 0:
                 dy = y - y_prev
                 qv_run += np.where(alive, np.einsum("pj,pj->p", dy, dy), 0.0)
-            _record_time(stats, k, y, alive, qv_run)
-            dgam_k = dgam[:, j]
-            dw_k = dw[:, j]
-            if state_scheme:
-                drift = x @ one_step_t
-                if midpoint:
-                    base_x = drift + dw_k @ b_t
-                    r = _midpoint_solve(dgam_k, y, base_x @ c_t, gain, k * dt)
-                else:
-                    r = dgam_k * y
-                u = dw_k + r
-                x_next = drift + u @ b_t
-                bad = ~np.isfinite(x_next).all(axis=1) | (
-                    np.abs(x_next).max(axis=1) > OVERFLOW_LIMIT
-                )
-                y_next = x_next @ c_t
-            else:
-                if midpoint:
-                    # einsum, not matmul, for the drive term: it sums in the
-                    # same order as the per-path form, so paths stay
-                    # bit-identical to simulate_path
-                    base_y = np.einsum(
-                        "pjm,jym->py", u_hist[:, :k], kernel[k + 1 : 1 : -1]
-                    ) + np.einsum("pm,ym->py", dw_k, kernel[1])
-                    r = _midpoint_solve(dgam_k, y, base_y, gain, k * dt)
-                else:
-                    r = dgam_k * y
-                u = dw_k + r
-                u_hist[:, k] = u
-                y_next = np.einsum(
-                    "pjm,jym->py", u_hist[:, : k + 1], kernel[k + 1 : 0 : -1]
-                )
-                bad = ~np.isfinite(y_next).all(axis=1) | (
-                    np.abs(y_next).max(axis=1) > OVERFLOW_LIMIT
-                )
+            _record_time(sums, k, y, alive, qv_run)
+            r, u, y_next, bad = step(k, y, dgam[:, j], dw[:, j])
             u2 = np.einsum("pj,pj->p", u, u)
-            stats.sum_u2[k] += np.where(alive, u2, 0.0).sum() / dt
+            sums.sum_u2[k] += np.where(alive, u2, 0.0).sum() / dt
             if r_store is not None:
                 live = alive[:, None]
-                r_store[first_path : first_path + batch_size, k] = np.where(
-                    live, r, 0.0
-                )
-                u_store[first_path : first_path + batch_size, k] = np.where(
-                    live, u, 0.0
-                )
+                r_store[rows, k] = np.where(live, r, 0.0)
+                u_store[rows, k] = np.where(live, u, 0.0)
             alive = alive & ~bad
             if not alive.all():
                 dead = ~alive
                 y_next[dead] = 0.0
-                if state_scheme:
-                    x_next[dead] = 0.0
-                else:
-                    u_hist[dead, : k + 1] = 0.0
-            if state_scheme:
-                x = x_next
+                step.kill(dead, k)
             y_prev = y
             y = y_next
             k += 1
     dy = y - y_prev
-    if n_steps > 0:
-        qv_run += np.where(alive, np.einsum("pj,pj->p", dy, dy), 0.0)
-    _record_time(stats, n_steps, y, alive, qv_run)
-    return stats
+    qv_run += np.where(alive, np.einsum("pj,pj->p", dy, dy), 0.0)
+    _record_time(sums, n_steps, y, alive, qv_run)
 
 
 def run_ensemble(
@@ -526,26 +479,21 @@ def run_ensemble(
     noise: NoiseSpec,
     config: SimulationConfig,
     record_increments: bool = False,
-    max_workers: int | None = None,
 ) -> SimulationEnsemble:
     """Simulate n_paths independent paths and reduce their statistics.
 
-    Every path i is bit-identical to ``simulate_path(..., path_index=i)``
-    with the same config.  Results do not depend on the worker count or
-    execution order (fixed batching, fixed-order reduction).
+    Paths run serially in fixed batches of 2048, and each batch adds
+    its per-time sums in path order.  Every path i is bit-identical
+    to ``simulate_path(..., path_index=i)`` with the same config (for full
+    B or C under the state-space scheme, up to the rounding of a
+    matrix-matrix against a row-vector product), and the statistics do
+    not depend on how the paths are batched.
     """
-    _check_loop_shapes(sys, noise)
+    _check_loop_noise(sys, noise)
     midpoint = config.interpretation == "stratonovich"
     n_steps = config.n_steps
     n_paths = config.n_paths
-    if config.scheme == "state_space_step" and not sys.is_state_space:
-        raise RealizationRequired(
-            "the state-space scheme needs a realization; use the "
-            "convolution_sum scheme for sampled kernels"
-        )
-    kernel = None
-    if config.scheme == "convolution_sum":
-        kernel = impulse_response_grid(sys, config.dt, n_steps + 1)
+    step = _STEPS[config.scheme](sys, config, midpoint)
     r_store = u_store = None
     if record_increments:
         total = 2 * n_paths * n_steps * sys.n_in * 8
@@ -557,40 +505,19 @@ def run_ensemble(
         r_store = np.zeros((n_paths, n_steps, sys.n_in))
         u_store = np.zeros((n_paths, n_steps, sys.n_in))
 
-    batches = [
-        (start, min(_PATH_BATCH, n_paths - start))
-        for start in range(0, n_paths, _PATH_BATCH)
-    ]
-    workers = min(_resolve_workers(max_workers), len(batches))
+    sums = _EnsembleSums(n_steps)
+    for first in range(0, n_paths, _PATH_BATCH):
+        size = min(_PATH_BATCH, n_paths - first)
+        _run_batch(step, noise, config, first, size, sums, r_store, u_store)
 
-    def work(batch):
-        first, size = batch
-        return _run_batch(
-            sys, noise, config, midpoint, first, size, kernel, r_store, u_store
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, batches))
-    else:
-        partials = [work(batch) for batch in batches]
-
-    total = _BatchStats(n_steps)
-    for part in partials:
-        total.sum_y2 += part.sum_y2
-        total.sum_y4 += part.sum_y4
-        total.alive_count += part.alive_count
-        total.sum_u2 += part.sum_u2
-        total.sum_qv += part.sum_qv
-
-    count = total.alive_count.astype(float)
+    count = sums.alive_count.astype(float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        var_y = np.where(count > 0, total.sum_y2 / count, np.nan)
-        qv_y = np.where(count > 0, total.sum_qv / count, np.nan)
+        var_y = np.where(count > 0, sums.sum_y2 / count, np.nan)
+        qv_y = np.where(count > 0, sums.sum_qv / count, np.nan)
         var_u = np.where(
-            count[:-1] > 0, total.sum_u2 / count[:-1], np.nan
+            count[:-1] > 0, sums.sum_u2 / count[:-1], np.nan
         )
-        spread = total.sum_y4 - total.sum_y2**2 / count
+        spread = sums.sum_y4 - sums.sum_y2**2 / count
         stderr_y = np.where(
             count > 1,
             np.sqrt(np.maximum(spread, 0.0) / (count - 1.0)) / np.sqrt(count),
@@ -598,7 +525,6 @@ def run_ensemble(
         )
     diagnostics = {
         "stderr_defined": n_paths > 1,
-        "workers": workers,
         "increments_recorded": record_increments,
     }
     if record_increments and n_paths >= 100 and n_steps >= 2:
@@ -610,7 +536,7 @@ def run_ensemble(
         stderr_y=stderr_y,
         var_u_increments=var_u,
         qv_y=qv_y,
-        n_diverged=n_paths - total.alive_count,
+        n_diverged=n_paths - sums.alive_count,
         n_paths=n_paths,
         config=config,
         diagnostics=diagnostics,

@@ -55,19 +55,6 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_sample_increments_advances_state(self):
-        spec = msslab.validate_noise([[1.0]], [[1.0]])
-        state = msslab.RngState(seed=5)
-        dg1, dw1, state1 = msslab.sample_increments(spec, 0.01, state)
-        dg2, dw2, state2 = msslab.sample_increments(spec, 0.01, state1)
-        assert state1.counter == state.counter + 1
-        assert state2.counter == state.counter + 2
-        assert not np.array_equal(dg1, dg2)
-        # replay from the same state reproduces the draw
-        dg1_again, dw1_again, _ = msslab.sample_increments(spec, 0.01, state)
-        assert_array_equal(dg1, dg1_again)
-        assert_array_equal(dw1, dw1_again)
-
     def test_chunk_reproducible(self):
         spec = msslab.validate_noise([[1.0, 0.5], [0.5, 1.0]], np.eye(2))
         gen = msslab.philox_generator(9, 0)

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, discretization oracles, divergence handling."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from msslab import (
 )
 from msslab.noise import draw_increment_chunk, philox_generator
 from msslab.simulate import (
+    _PATH_BATCH,
+    _STEPS,
     _draw_path_increments,
     _loop_norm,
     increment_independence_test,
@@ -240,31 +243,26 @@ class TestEnsembleStats:
         assert abs(tail - target) < 0.05 * target
 
 
-class TestWorkers:
-    CFG = SimulationConfig(dt=0.01, horizon=1.0, n_paths=32, seed=1)
-
-    def test_worker_count_does_not_change_results(self):
-        base = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG, max_workers=1)
-        multi = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG, max_workers=3)
-        assert_array_equal(base.var_y, multi.var_y)
-        assert_array_equal(base.stderr_y, multi.stderr_y)
-        assert_array_equal(base.qv_y, multi.qv_y)
-
-    def test_env_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("MSSLAB_THREADS", "1")
-        one = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG)
-        monkeypatch.setenv("MSSLAB_THREADS", "4")
-        four = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG)
-        assert_array_equal(one.var_y, four.var_y)
-        assert_array_equal(one.stderr_y, four.stderr_y)
-
-    def test_bad_worker_settings(self, monkeypatch):
-        monkeypatch.setenv("MSSLAB_THREADS", "lots")
-        with pytest.raises(ValueError):
-            msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG)
-        monkeypatch.delenv("MSSLAB_THREADS")
-        with pytest.raises(ValueError):
-            msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG, max_workers=-1)
+class TestBatching:
+    def test_results_do_not_depend_on_batching(self):
+        # one path past the first batch: it runs alone in a second batch
+        n_paths = _PATH_BATCH + 1
+        cfg = SimulationConfig(
+            dt=0.01, horizon=0.04, n_paths=n_paths, seed=1,
+            interpretation="stratonovich",
+        )
+        ens = msslab.run_ensemble(
+            scalar_block(), noise(0.5), cfg, record_increments=True
+        )
+        paths = [
+            msslab.simulate_path(scalar_block(), noise(0.5), cfg, path_index=i)
+            for i in range(n_paths)
+        ]
+        last = paths[_PATH_BATCH]
+        assert_array_equal(ens.r_paths[_PATH_BATCH], last.r_increments)
+        assert_array_equal(ens.u_paths[_PATH_BATCH], last.u_increments)
+        y2 = np.mean([np.sum(p.y**2, axis=1) for p in paths], axis=0)
+        assert_allclose(ens.var_y, y2, rtol=1e-12, atol=0.0)
 
 
 class TestQuadraticVariationHelper:
@@ -291,13 +289,22 @@ class TestQuadraticVariationHelper:
 class TestDivergence:
     BLOCK = msslab.make_state_space([[200.0]], [[1.0]], [[1.0]])
     CFG = SimulationConfig(dt=0.1, horizon=20.0, n_paths=50, seed=4)
+    # per scheme, an unstable block whose path 0 diverges inside the
+    # horizon; under the convolution sum the kernel e^{a t} must itself
+    # stay finite over the grid, which rules out a = 200
+    DIVERGING = {
+        "state_space_step": BLOCK,
+        "convolution_sum": msslab.make_state_space([[25.0]], [[1.0]], [[1.0]]),
+    }
 
     def test_path_flags_and_truncates(self):
-        path = msslab.simulate_path(self.BLOCK, noise(1.0), self.CFG)
-        assert path.diverged
-        assert path.diverged_at is not None
-        assert np.isfinite(path.y[: path.diverged_at]).all()
-        assert np.isnan(path.y[path.diverged_at :]).all()
+        for scheme in SCHEMES:
+            cfg = replace(self.CFG, scheme=scheme)
+            path = msslab.simulate_path(self.DIVERGING[scheme], noise(1.0), cfg)
+            assert path.diverged, scheme
+            assert path.diverged_at < cfg.n_steps, scheme
+            assert np.isfinite(path.y[: path.diverged_at]).all(), scheme
+            assert np.isnan(path.y[path.diverged_at :]).all(), scheme
 
     def test_ensemble_excludes_dead_paths(self):
         ens = msslab.run_ensemble(self.BLOCK, noise(1.0), self.CFG, record_increments=True)
@@ -309,12 +316,35 @@ class TestDivergence:
         assert np.isnan(ens.var_y[alive == 0]).all()
 
     def test_recorded_increments_freeze_after_death(self):
-        ens = msslab.run_ensemble(self.BLOCK, noise(1.0), self.CFG, record_increments=True)
-        path = msslab.simulate_path(self.BLOCK, noise(1.0), self.CFG, path_index=0)
-        k = path.diverged_at
-        assert np.any(ens.r_paths[0, k - 1] != 0.0)
-        assert np.all(ens.r_paths[0, k:] == 0.0)
-        assert np.all(ens.u_paths[0, k:] == 0.0)
+        for scheme in SCHEMES:
+            cfg = replace(self.CFG, scheme=scheme)
+            block = self.DIVERGING[scheme]
+            ens = msslab.run_ensemble(block, noise(1.0), cfg, record_increments=True)
+            path = msslab.simulate_path(block, noise(1.0), cfg, path_index=0)
+            k = path.diverged_at
+            assert np.any(ens.r_paths[0, k - 1] != 0.0), scheme
+            assert np.all(ens.r_paths[0, k:] == 0.0), scheme
+            assert np.all(ens.u_paths[0, k:] == 0.0), scheme
+            assert_array_equal(ens.r_paths[0], path.r_increments)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kill_restarts_dead_rows_from_rest(self, scheme):
+        block = self.DIVERGING[scheme]
+        cfg = replace(self.CFG, scheme=scheme)
+        rng = np.random.default_rng(0)
+        step = _STEPS[scheme](block, cfg, False)
+        y = step.reset(2)
+        for k in range(3):
+            _, _, y, _ = step(k, y, rng.normal(size=(2, 1)), rng.normal(size=(2, 1)))
+        dead = np.array([False, True])
+        step.kill(dead, 2)
+        y[dead] = 0.0
+        dgam, dw = rng.normal(size=(2, 1)), rng.normal(size=(2, 1))
+        _, _, y_next, _ = step(3, y, dgam, dw)
+        fresh = _STEPS[scheme](block, cfg, False)
+        _, _, y_rest, _ = fresh(0, fresh.reset(1), dgam[1:], dw[1:])
+        assert_array_equal(y_next[1], y_rest[0])
+        assert y_next[0, 0] != y_rest[0, 0]
 
     def test_stable_run_has_no_divergence(self):
         cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=20, seed=0)
