@@ -46,8 +46,38 @@ class ProblemConfig:
     simulation: SimulationConfig | None
 
 
+def _is_matrix(value) -> bool:
+    """$defs/matrix: a non-empty list of non-empty lists of numbers, where
+    the exact type test rejects bool, as JSON-schema "number" does."""
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(
+            isinstance(row, list)
+            and len(row) > 0
+            and all(type(x) in (int, float) for x in row)
+            for row in value
+        )
+    )
+
+
 def _schema_check(data, schema_name: str) -> None:
     validator = jsonschema.Draft202012Validator(load_schema(schema_name))
+    system = data.get("system") if isinstance(data, dict) else None
+    samples = system.get("samples") if isinstance(system, dict) else None
+    if (
+        schema_name == "problem_config"
+        and isinstance(samples, list)
+        and all(map(_is_matrix, samples))
+    ):
+        # With every sample a matrix, the config cut to two samples is
+        # valid exactly when the full one is: the samples constraints are
+        # per item plus minItems 2, and the state-space branch of the
+        # system oneOf fails on the samples key whatever the values.  Any
+        # failure falls through to the full walk, which names the error.
+        cut = {**data, "system": {**system, "samples": samples[:2]}}
+        if validator.is_valid(cut):
+            return
     errors = list(validator.iter_errors(data))
     if errors:
         best = jsonschema.exceptions.best_match(errors)

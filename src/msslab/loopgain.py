@@ -131,11 +131,18 @@ def equivalent_ito_system(sys: LtiSystem, gamma_cov) -> LtiSystem:
     the drift: (A + B G C, B, C) with G = (M(0) o gamma_cov)/2.  When
     M(0) = CB = 0 the conversion is the identity.
     """
+    if sys.is_state_space:
+        gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
+    return _equivalent_block(sys, gamma_cov)
+
+
+def _equivalent_block(sys: LtiSystem, gamma_cov: np.ndarray) -> LtiSystem:
+    """equivalent_ito_system for a gamma_cov that _check_loop has passed."""
     if not sys.is_state_space:
         raise StratonovichNeedsRealization(
             "Stratonovich conversion needs a state-space realization"
         )
-    gain = stratonovich_correction_gain(sys, gamma_cov)
+    gain = 0.5 * ((sys.c @ sys.b) * gamma_cov)
     return make_state_space(sys.a + sys.b @ gain @ sys.c, sys.b, sys.c)
 
 
@@ -220,7 +227,7 @@ def make_lgo(
     if backend is None:
         backend = LyapunovBackend()
     if interpretation == "stratonovich":
-        block = equivalent_ito_system(sys, gamma_cov)
+        block = _equivalent_block(sys, gamma_cov)
     else:
         block = sys
     if isinstance(backend, QuadratureBackend):
@@ -302,6 +309,19 @@ class SpectralResult:
     converged: bool
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm, rescaled by the largest entry when the plain sum of
+    squares overflows; NaN or infinity only for non-finite entries."""
+    norm = float(np.linalg.norm(m))
+    if math.isinf(norm):
+        peak = float(np.abs(m).max())
+        norm = peak * float(np.linalg.norm(m / peak))
+    return norm
+
+
+# A sum of squares past the float range is expected for huge gains;
+# _frobenius rescales it, and a non-finite iterate raises NonFinite.
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_radius_power(
     handle: LoopGainHandle, tol: float = 1e-10, max_iter: int = 10000
 ) -> SpectralResult:
@@ -312,22 +332,30 @@ def spectral_radius_power(
     when successive estimates agree within tol*max(1, rho) AND the
     residual ||L(X) - rho X||_F meets the same bound (the residual check
     keeps the reported eigen-matrix honest, not just the eigenvalue).
+    Raises NonFinite when an iterate of the loop gain operator is not finite.
     """
     n = handle.n_loop
+    matrix, gamma_cov = handle.matrix, handle.gamma_cov
     x = np.eye(n) / math.sqrt(n)
     rho_prev = None
     rho = 0.0
     for iteration in range(1, max_iter + 1):
-        lx = apply_lgo(handle, x)
+        # apply_lgo inlined: x stays finite, so its operand check is moot
+        lx = gamma_cov * (matrix @ x.flatten(order="F")).reshape((n, n), order="F")
         lx = 0.5 * (lx + lx.T)
         rho = float(np.tensordot(lx, x))
-        norm_lx = float(np.linalg.norm(lx))
+        norm_lx = _frobenius(lx)
+        if not math.isfinite(norm_lx):
+            raise NonFinite(
+                f"loop gain operator iterate contains NaN or infinity at "
+                f"power iteration {iteration}"
+            )
         if norm_lx == 0.0:
             return SpectralResult(
                 rho=0.0, eigen_matrix=x, iterations=iteration, converged=True
             )
         scale = tol * max(1.0, abs(rho))
-        residual = float(np.linalg.norm(lx - rho * x))
+        residual = _frobenius(lx - rho * x)
         if (
             rho_prev is not None
             and abs(rho - rho_prev) <= scale

@@ -159,6 +159,18 @@ class TestVerdicts:
         residual = np.linalg.norm(u - w_cov.flatten(order="F") - k @ u)
         assert residual <= 1e-9 * np.linalg.norm(u)
 
+    @pytest.mark.parametrize("drift", [[-1.0], [-1.0, -2.0]], ids=["scalar", "diag2"])
+    def test_huge_gain_is_not_mss(self, drift):
+        # the iterate's sum of squares overflows at gains near 1e155; the
+        # power iteration must still report rho = gain / 2, not 0
+        p = len(drift)
+        sys = msslab.make_state_space(np.diag(drift), np.eye(p), np.eye(p))
+        spec = msslab.validate_noise(1e200 * np.eye(p), np.eye(p))
+        v = msslab.analyze(sys, spec, "ito")
+        assert not v.mss
+        assert v.spectral.converged
+        assert_allclose(v.rho, 5e199, rtol=1e-12)
+
     def test_worst_case_cov_exposes_perron_matrix(self):
         v = msslab.analyze(scalar_block(), noise(1.0), "ito")
         assert_array_equal(v.worst_case_cov, v.spectral.eigen_matrix)

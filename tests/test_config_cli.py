@@ -3,12 +3,13 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import msslab
 from msslab import ConfigError
 from msslab.cli import main
-from msslab.config import load_config, parse_config, validate_report
+from msslab.config import load_config, load_schema, parse_config, validate_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,6 +27,45 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def sampled_data(count=300, dt=0.01):
+    """Scalar loop with the kernel e^{-t} given as count samples; sample 0
+    is the int 1 so ints are exercised next to floats."""
+    data = scalar_data()
+    samples = [[[math.exp(-k * dt)]] for k in range(count)]
+    samples[0] = [[1]]
+    data["system"] = {"dt": dt, "samples": samples}
+    return data
+
+
+MID = 150
+DROP = object()
+
+# field path, the value put there (DROP deletes the field), and who
+# rejects the result: "schema", the field path a constructor names, or
+# None for a config that loads
+SAMPLED_VARIANTS = {
+    "valid": ((), None, None),
+    "string_entry": (("system", "samples", MID, 0, 0), "0.5", "schema"),
+    "bool_entry": (("system", "samples", MID, 0, 0), True, "schema"),
+    "null_entry": (("system", "samples", MID, 0, 0), None, "schema"),
+    "empty_sample": (("system", "samples", MID), [], "schema"),
+    "empty_row": (("system", "samples", MID), [[]], "schema"),
+    "null_sample": (("system", "samples", MID), None, "schema"),
+    "non_list_sample": (("system", "samples", MID), 0.5, "schema"),
+    "too_deep": (("system", "samples", MID), [[[0.5]]], "schema"),
+    "ragged_row": (("system", "samples", MID), [[0.5], [0.5, 0.1]], "system"),
+    "samples_not_a_list": (("system", "samples"), "many", "schema"),
+    "zero_samples": (("system", "samples"), [], "schema"),
+    "one_sample": (("system", "samples"), [[[1.0]]], "schema"),
+    "two_samples": (("system", "samples"), [[[1.0]], [[0.5]]], None),
+    "negative_dt": (("system", "dt"), -0.01, "schema"),
+    "missing_dt": (("system", "dt"), DROP, "schema"),
+    "extra_key": (("system", "extra"), 1, "schema"),
+    "a_next_to_samples": (("system", "a"), [[-1.0]], "schema"),
+    "bad_w_cov": (("noise", "w_cov"), [["1.0"]], "schema"),
+}
 
 
 class TestParseConfig:
@@ -107,6 +147,77 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         assert exc.value.field_path == "simulation"
+
+
+class TestSampledSchemaCheck:
+    """A config with many samples is schema-checked on two of them; every
+    outcome must still be the full walk's."""
+
+    @pytest.mark.parametrize("variant", sorted(SAMPLED_VARIANTS))
+    def test_same_error_as_full_walk(self, variant):
+        path, value, rejected_by = SAMPLED_VARIANTS[variant]
+        data = sampled_data()
+        if path:
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            if value is DROP:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+        validator = jsonschema.Draft202012Validator(load_schema("problem_config"))
+        errors = list(validator.iter_errors(data))
+        assert bool(errors) == (rejected_by == "schema")
+        if rejected_by is None:
+            assert not parse_config(data).system.is_state_space
+            return
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        if errors:
+            best = jsonschema.exceptions.best_match(errors)
+            path = ".".join(str(part) for part in best.absolute_path) or "<root>"
+            assert exc.value.field_path == path
+            assert str(exc.value) == f"{path}: {best.message}"
+        else:
+            assert exc.value.field_path == rejected_by
+
+    def test_valid_config_reaches_schema_with_two_samples(self, monkeypatch):
+        seen = []
+        real = jsonschema.Draft202012Validator
+
+        class Recording:
+            def __init__(self, schema):
+                self.inner = real(schema)
+
+            def is_valid(self, instance):
+                seen.append(len(instance["system"]["samples"]))
+                return self.inner.is_valid(instance)
+
+            def iter_errors(self, instance):
+                seen.append(len(instance["system"]["samples"]))
+                return self.inner.iter_errors(instance)
+
+        monkeypatch.setattr(jsonschema, "Draft202012Validator", Recording)
+        cfg = parse_config(sampled_data(400))
+        assert cfg.system.samples.shape == (400, 1, 1)
+        assert seen and max(seen) <= 2
+
+    def test_schema_matrix_is_what_the_cut_assumes(self):
+        # the cut to two samples is exact only for these definitions
+        schema = load_schema("problem_config")
+        assert schema["$defs"]["matrix"] == {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+        }
+        state_space, sampled = schema["properties"]["system"]["oneOf"]
+        assert sampled["properties"]["samples"] == {
+            "type": "array",
+            "minItems": 2,
+            "items": {"$ref": "#/$defs/matrix"},
+        }
+        assert sampled["additionalProperties"] is False
+        assert state_space["additionalProperties"] is False
 
 
 class TestLoadConfig:
@@ -317,6 +428,35 @@ class TestCliCompare:
         rc = main([*self.ARGS, "--n-paths", "1"])
         assert rc == 4
         assert "DISAGREE" in capsys.readouterr().out
+
+
+class TestCliSampled:
+    """Every command on a config that holds a sampled kernel."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        data = sampled_data(201)
+        data["simulation"] = {
+            "dt": 0.01,
+            "horizon": 0.5,
+            "n_paths": 32,
+            "seed": 3,
+            "scheme": "convolution_sum",
+        }
+        return write_config(tmp_path, data)
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "trajectory"])
+    def test_command_writes_valid_report(self, path, tmp_path, command):
+        out = tmp_path / "report.json"
+        assert main([command, path, "--out", str(out)]) == 0
+        validate_report(json.loads(out.read_text(encoding="utf-8")))
+
+    def test_compare_needs_a_realization(self, path, capsys):
+        assert main(["compare", path]) == 65
+        assert (
+            "config error: Stratonovich conversion needs a state-space realization"
+            in capsys.readouterr().err
+        )
 
 
 class TestCliErrors:

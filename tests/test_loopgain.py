@@ -9,6 +9,8 @@ np.kron; scalar and diagonal cases additionally have closed forms,
 computed inline.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_loop, random_psd
@@ -241,6 +243,12 @@ class TestSpectralRadius:
         result = msslab.spectral_radius_power(handle, tol=0.0, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
+
+    def test_non_finite_iterate_refused(self):
+        handle = msslab.make_lgo(scalar_block(), [[1e10]], "ito")
+        huge = dataclasses.replace(handle, matrix=handle.matrix * 1e300)
+        with pytest.raises(NonFinite, match="loop gain operator"):
+            msslab.spectral_radius_power(huge)
 
     def test_dense_input_validation(self):
         with pytest.raises(DimensionMismatch):
