@@ -309,13 +309,20 @@ class SpectralResult:
     converged: bool
 
 
+# Below this norm the plain sum of squares may hold subnormal squares
+# whose rounding shows in the result.
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+
+
 def _frobenius(m: np.ndarray) -> float:
     """Frobenius norm, rescaled by the largest entry when the plain sum of
-    squares overflows; NaN or infinity only for non-finite entries."""
+    squares overflows or underflows; NaN or infinity only for non-finite
+    entries."""
     norm = float(np.linalg.norm(m))
-    if math.isinf(norm):
+    if math.isinf(norm) or norm < _NORM_FLOOR:
         peak = float(np.abs(m).max())
-        norm = peak * float(np.linalg.norm(m / peak))
+        if peak > 0.0:
+            norm = peak * float(np.linalg.norm(m / peak))
     return norm
 
 
@@ -355,11 +362,10 @@ def spectral_radius_power(
                 rho=0.0, eigen_matrix=x, iterations=iteration, converged=True
             )
         scale = tol * max(1.0, abs(rho))
-        residual = _frobenius(lx - rho * x)
         if (
             rho_prev is not None
             and abs(rho - rho_prev) <= scale
-            and residual <= scale
+            and _frobenius(lx - rho * x) <= scale
         ):
             return SpectralResult(
                 rho=rho, eigen_matrix=x, iterations=iteration, converged=True

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import random_loop, random_psd, random_stable_matrix
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -171,6 +173,15 @@ class TestVerdicts:
         assert v.spectral.converged
         assert_allclose(v.rho, 5e199, rtol=1e-12)
 
+    @pytest.mark.parametrize("gain", [1e-160, 1e-200, 1e-300])
+    def test_tiny_gain_rho(self, gain):
+        # the iterate's sum of squares underflows below gains near 1e-146;
+        # the power iteration must still report rho = gain / 2, not 0
+        v = msslab.analyze(scalar_block(), noise(gain), "ito")
+        assert v.mss
+        assert v.spectral.converged
+        assert_allclose(v.rho, gain / 2, rtol=1e-12)
+
     def test_worst_case_cov_exposes_perron_matrix(self):
         v = msslab.analyze(scalar_block(), noise(1.0), "ito")
         assert_array_equal(v.worst_case_cov, v.spectral.eigen_matrix)
@@ -292,3 +303,107 @@ class TestCovarianceTrajectory:
         assert np.all(np.diff(factors) < 0)
         assert abs(factors[-1] - discrete) <= 1e-3 * discrete
         assert abs(discrete - math.exp(0.5)) <= 4e-3 * math.exp(0.5)
+
+
+L = msslab.analysis._BLOCK
+
+
+def one_step_trajectory(sys, spec, interpretation, n_steps, dt):
+    """Reference: the state-space recursion one step at a time,
+
+        Z_k = E (Z_{k-1} + B U_{k-1} B^T dt) E^T,   Y_k = C Z_k C^T,
+
+    returning (u, r, y) or raising NonFinite at the first bad step.
+    """
+    if interpretation == "stratonovich":
+        sys = msslab.equivalent_ito_system(sys, spec.gamma_cov)
+    p = spec.n_gains
+    u = np.empty((n_steps + 1, p, p))
+    r = np.zeros((n_steps + 1, p, p))
+    y = np.zeros((n_steps + 1, p, p))
+    u[0] = spec.w_cov
+    step = msslab.matrix_exponential(sys.a, dt)
+    z = np.zeros((sys.n_state, sys.n_state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            z = step @ (z + (sys.b @ u[k - 1] @ sys.b.T) * dt) @ step.T
+            y[k] = sys.c @ z @ sys.c.T
+            r[k] = spec.gamma_cov * y[k]
+            u[k] = spec.w_cov + r[k]
+            if not np.isfinite(u[k]).all():
+                raise NonFinite(f"covariance trajectory overflowed at t={k * dt}")
+    return u, r, y
+
+
+def assert_same_rates(got, want, rel=1e-10):
+    scale = np.abs(want[2]).max()
+    for name, a, b in zip("ury", (got.u, got.r, got.y), want):
+        gap = np.abs(a - b).max()
+        assert gap <= rel * scale, f"{name}: gap {gap:.3e}, max|Y| {scale:.3e}"
+
+
+class TestBlockedRecursion:
+    """The blocked state-space recursion against the one-step reference."""
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_one_step_reference(self, seed, interpretation):
+        rng = np.random.default_rng(1000 + seed)
+        sys, gamma = random_loop(rng, n_max=8, p_max=3)
+        spec = msslab.validate_noise(
+            gamma, random_psd(rng, sys.n_in) + 0.1 * np.eye(sys.n_in)
+        )
+        dt = 0.05
+        for n_steps in (1, L - 1, L, L + 1, 3 * L + 5):
+            got = msslab.covariance_trajectory(
+                sys, spec, interpretation, horizon=n_steps * dt, dt=dt
+            )
+            want = one_step_trajectory(sys, spec, interpretation, n_steps, dt)
+            assert_same_rates(got, want)
+
+    @pytest.mark.parametrize("p", [6, 11])
+    def test_wide_loops_take_shorter_blocks(self, p):
+        # 6 channels give 12-step blocks and 11 channels one-step blocks
+        rng = np.random.default_rng(77 + p)
+        n = p + 2
+        sys = msslab.make_state_space(
+            random_stable_matrix(rng, n),
+            rng.standard_normal((n, p)) / np.sqrt(n),
+            rng.standard_normal((p, n)) / np.sqrt(n),
+        )
+        spec = msslab.validate_noise(random_psd(rng, p, 0.5), np.eye(p))
+        dt, n_steps = 0.05, 41
+        got = msslab.covariance_trajectory(
+            sys, spec, "ito", horizon=n_steps * dt, dt=dt
+        )
+        assert_same_rates(got, one_step_trajectory(sys, spec, "ito", n_steps, dt))
+
+    @pytest.mark.parametrize("s2", [0.0, 1.0])
+    def test_overflow_names_the_reference_step(self, s2):
+        sys = msslab.make_state_space([[50.0]], [[1.0]], [[1.0]])
+        with pytest.raises(NonFinite) as want:
+            one_step_trajectory(sys, noise(s2), "ito", 2000, 1e-2)
+        with pytest.raises(NonFinite) as got:
+            msslab.covariance_trajectory(sys, noise(s2), "ito", horizon=20.0, dt=1e-2)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ito", "stratonovich"]))
+    def test_realization_does_not_matter(self, seed, interpretation):
+        # x -> T x with T = Q diag(d), Q orthogonal and d in [0.5, 2]
+        rng = np.random.default_rng(seed)
+        sys, gamma = random_loop(rng, n_max=8, p_max=3)
+        spec = msslab.validate_noise(gamma, np.eye(sys.n_in))
+        n = sys.n_state
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        t = q * rng.uniform(0.5, 2.0, n)
+        t_inv = np.linalg.inv(t)
+        similar = msslab.make_state_space(t_inv @ sys.a @ t, t_inv @ sys.b, sys.c @ t)
+        dt, n_steps = 0.05, 2 * L + 7
+        want = msslab.covariance_trajectory(
+            sys, spec, interpretation, horizon=n_steps * dt, dt=dt
+        )
+        got = msslab.covariance_trajectory(
+            similar, spec, interpretation, horizon=n_steps * dt, dt=dt
+        )
+        assert_same_rates(got, (want.u, want.r, want.y))
