@@ -36,7 +36,10 @@ from .loopgain import (
 )
 from .noise import NoiseSpec
 from .system import (
+    _BLOCK,
     LtiSystem,
+    _hankel_block,
+    _lag_hankel,
     impulse_response_grid,
     matrix_exponential,
 )
@@ -107,6 +110,15 @@ def _truncated_h2_squared(block: LtiSystem) -> float:
     return float(np.einsum("k,kab,kab->", weights, kernel, kernel))
 
 
+# A steady-state solve is kept when its normwise backward error
+# ||(I - K) u - w|| / (||I - K||_F ||u|| + ||w||) is at most this
+# multiple of the unit roundoff (Rigal & Gaches, J. ACM 14(3), 1967;
+# Higham, Accuracy and Stability of Numerical Algorithms, thm. 7.1).  LU
+# with partial pivoting meets it however close rho is to 1, where a
+# residual test that ignores ||u|| refuses accurate solves.
+_BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
+
+
 def _solve_steady_state(handle: LoopGainHandle, w_cov: np.ndarray) -> SteadyState:
     n = handle.n_loop
     lhs = np.eye(n * n) - lgo_matrix_apply(handle)
@@ -117,13 +129,14 @@ def _solve_steady_state(handle: LoopGainHandle, w_cov: np.ndarray) -> SteadyStat
         raise SingularFixedPoint(
             f"steady-state system (I - K) is singular: {exc}"
         ) from exc
-    residual = float(np.linalg.norm(lhs @ vec_u - rhs))
-    if not np.all(np.isfinite(vec_u)) or residual > 1e-8 * max(
-        1.0, float(np.linalg.norm(rhs))
-    ):
+    residual = np.linalg.norm(lhs @ vec_u - rhs)
+    scale = np.linalg.norm(lhs) * np.linalg.norm(vec_u) + np.linalg.norm(rhs)
+    backward = float(residual / scale)
+    if not np.all(np.isfinite(vec_u)) or not backward <= _BACKWARD_ERROR_BOUND:
         raise SingularFixedPoint(
-            f"steady-state solve residual {residual:.3e} is too large; "
-            "the loop is too close to the stability boundary"
+            f"steady-state solve backward error {backward:.3e} exceeds "
+            f"{_BACKWARD_ERROR_BOUND:.1e}; the loop is too close to the "
+            "stability boundary"
         )
     u_bar = vec_u.reshape((n, n), order="F")
     u_bar = 0.5 * (u_bar + u_bar.T)
@@ -232,11 +245,42 @@ class CovarianceTrajectory:
         return np.trace(self.y, axis1=1, axis2=2)
 
 
-# Steps per block of the state-space covariance recursion, and the most
-# kernel-slab entries one block may hold: the full block of 4 channels.
-# Wider loops get shorter blocks, since the slab grows as p^4.
-_BLOCK = 64
+# The most kernel-slab entries one block may hold: the full block of 4
+# channels.  Wider loops get shorter blocks, since the slab grows as p^4.
 _SLAB_ENTRIES = _BLOCK * 4**4
+
+
+def _march(size, markov, dt, gamma, w_cov, u, r, y, history) -> None:
+    """Fill u[1:], r[1:], y[1:] from u[0], one block of size steps at a time.
+
+    Y_k = dt sum_{j<k} M_{k-j} U_j M_{k-j}^T and U_k = W + gamma o Y_k,
+    with markov[i] = M_{i+1}.  At each block start s, history(s, stop)
+    writes into y[s+1 : stop+1] the terms of the inputs U_j, j <= s.
+    Step k adds U_{s+1} .. U_{k-1} as one product of the slab
+    [K_{k-s-1} ... K_1] of Kronecker kernels K_i = (M_i (x) M_i) dt with
+    the stored row-major vec U; one-step blocks need no kernel.  Rates
+    are checked once per block; NonFinite names the first bad step.
+    """
+    n_steps = u.shape[0] - 1
+    p2 = w_cov.size
+    kernels = np.einsum("iac,ibd->iabcd", markov, markov).reshape(-1, p2, p2) * dt
+    slab = kernels[::-1].transpose(1, 0, 2).reshape(p2, -1)
+    slabs = [slab[:, (size - 1 - m) * p2 :] for m in range(1, size)]
+    u_vec, u_rows, y_rows = u.reshape(-1), u.reshape(-1, p2), y.reshape(-1, p2)
+    w_row, gamma_row = w_cov.reshape(-1), gamma.reshape(-1)
+    for start in range(0, n_steps, size):
+        stop = min(start + size, n_steps)
+        history(start, stop)
+        for k in range(start + 1, stop + 1):
+            y_k = y_rows[k]
+            if k > start + 1:
+                y_k += slabs[k - start - 2] @ u_vec[(start + 1) * p2 : k * p2]
+            u_rows[k] = w_row + gamma_row * y_k
+        np.multiply(gamma, y[start + 1 : stop + 1], out=r[start + 1 : stop + 1])
+        rates = u_rows[start + 1 : stop + 1]
+        if not np.isfinite(rates).all():
+            k = start + 1 + int(np.argmin(np.isfinite(rates).all(axis=1)))
+            raise NonFinite(f"covariance trajectory overflowed at t={k * dt}")
 
 
 def _blocked_recursion(
@@ -250,58 +294,68 @@ def _blocked_recursion(
 ) -> None:
     """Fill u[1:], r[1:], y[1:] from u[0] for a state-space block.
 
-    Z_s = dt sum_{j<s} E^{s-j} B U_j B^T E^{(s-j)T} is the state
-    covariance at the start s of a block of L steps; within the block
+    X_s = dt sum_{j<=s} E^{s-j} B U_j B^T E^{(s-j)T} is the state
+    covariance just after the input at s, the start of a block of L
+    steps; within the block
 
-        Y_{s+m} = O_m Z_s O_m^T + dt sum_{i=1..m} M_i U_{s+m-i} M_i^T
+        Y_{s+m} = O_m X_s O_m^T + dt sum_{i=1..m-1} M_i U_{s+m-i} M_i^T
 
     with O_i = C E^i and Markov parameters M_i = O_i B.  The history
-    term is one batched product per block, and the sum is one
-    matrix-vector product per step with the slab [K_m ... K_1] of
-    Kronecker kernels K_i = (M_i (x) M_i) dt on the stored row-major
-    vec U.
+    term is one batched product per block, _march adds the sum, and X
+    moves once per block as E^L X E^{LT} plus the block's inputs.
     """
     n_steps = u.shape[0] - 1
     p, n = w_cov.shape[0], block.n_state
-    p2 = p * p
-    size = max(1, min(_BLOCK, _SLAB_ENTRIES // (p2 * p2), n_steps))
+    size = max(1, min(_BLOCK, _SLAB_ENTRIES // p**4, n_steps))
     step = matrix_exponential(block.a, dt)
     obs = np.empty((size, p, n))  # O_i at i - 1
-    ctrl = np.empty((size, n, p))  # E^i B at size - i
+    ctrl = np.empty((size, n, p))  # E^i B at size - 1 - i
     o, q = block.c, block.b
     for i in range(size):
         o = o @ step
-        q = step @ q
         obs[i] = o
         ctrl[size - 1 - i] = q
-    markov = obs @ block.b
-    kernels = np.einsum("iac,ibd->iabcd", markov, markov).reshape(size, p2, p2) * dt
-    slab = kernels[::-1].transpose(1, 0, 2).reshape(p2, size * p2)
-    slabs = [slab[:, (size - m) * p2 :] for m in range(1, size + 1)]
+        q = step @ q
     # dt goes in first, so no partial sum exceeds the state covariance
-    ctrl_wide = ctrl.transpose(1, 0, 2).reshape(n, size * p) * dt
+    ctrl_wide_t = (ctrl.transpose(1, 0, 2).reshape(n, size * p) * dt).T
     step_block = np.linalg.matrix_power(step, size)
-    u_vec, u_rows, y_rows = u.reshape(-1), u.reshape(-1, p2), y.reshape(-1, p2)
-    w_row, gamma_row = w_cov.reshape(-1), gamma.reshape(-1)
-    z = np.zeros((n, n))
-    for start in range(0, n_steps, size):
-        stop = min(start + size, n_steps)
-        steps = stop - start
+    step_block_t, obs_t = step_block.T, obs.transpose(0, 2, 1)
+    x = None
+
+    def history(start, stop):
+        nonlocal x
         if start:
-            y[start + 1 : stop + 1] = obs[:steps] @ z @ obs[:steps].transpose(0, 2, 1)
-        for m in range(1, steps + 1):
-            k = start + m
-            y_k = y_rows[k]
-            y_k += slabs[m - 1] @ u_vec[start * p2 : k * p2]
-            u_rows[k] = w_row + gamma_row * y_k
-        r[start + 1 : stop + 1] = gamma * y[start + 1 : stop + 1]
-        finite = np.isfinite(u[start + 1 : stop + 1]).reshape(steps, -1).all(axis=1)
-        if not finite.all():
-            k = start + 1 + int(np.argmin(finite))
-            raise NonFinite(f"covariance trajectory overflowed at t={k * dt}")
-        if stop < n_steps:
-            inputs = (ctrl @ u[start:stop]).transpose(1, 0, 2).reshape(n, size * p)
-            z = step_block @ z @ step_block.T + inputs @ ctrl_wide.T
+            inputs = ctrl @ u[start + 1 - size : start + 1]
+            inputs = inputs.transpose(1, 0, 2).reshape(n, size * p)
+            x = step_block @ x @ step_block_t + inputs @ ctrl_wide_t
+        else:
+            x = block.b @ u[0] @ ctrl_wide_t[-p:]
+        steps = stop - start
+        np.matmul(obs[:steps] @ x, obs_t[:steps], out=y[start + 1 : stop + 1])
+
+    _march(size, obs[:-1] @ block.b, dt, gamma, w_cov, u, r, y, history)
+
+
+def _sampled_recursion(block, gamma, w_cov, dt, u, r, y) -> None:
+    """Fill u[1:], r[1:], y[1:] from u[0] for a sampled block.
+
+    The history term of a block starting at s is one product of the
+    stored vec U_0 .. U_s with the lag-Hankel matrix of the Kronecker
+    kernels [K_{s+m-j}]; _march adds the block's later inputs.
+    """
+    n_steps = u.shape[0] - 1
+    p2 = w_cov.size
+    size = min(_hankel_block(n_steps, p2 * p2), max(1, _SLAB_ENTRIES // p2**2))
+    kernel = impulse_response_grid(block, dt, n_steps + 1)
+    kernels = np.einsum("iac,ibd->iabcd", kernel, kernel).reshape(-1, p2, p2) * dt
+    hankel = _lag_hankel(kernels, size)
+    u_vec, y_rows = u.reshape(-1), y.reshape(-1, p2)
+
+    def history(start, stop):
+        hist = u_vec[: (start + 1) * p2] @ hankel[(n_steps - start) * p2 :]
+        y_rows[start + 1 : stop + 1] = hist.reshape(size, p2)[: stop - start]
+
+    _march(size, kernel[1:size], dt, gamma, w_cov, u, r, y, history)
 
 
 # Overflow just before the NonFinite check is expected data for loops
@@ -321,16 +375,19 @@ def covariance_trajectory(
         U(t_0) = W,   R(t_k) = gamma_cov o sum_{j=1..k} M(j dt) U(t_{k-j}) M*(j dt) dt,
         U(t_k) = W + R(t_k),   Y by the same kernel sum without the mask.
 
+    Both block kinds run in blocks of L = 64 steps (shorter for more
+    than four channels, so the kernel slab keeps at most 64 * 4^4
+    entries).  At the start s of a block one product brings in every
+    U_j, j <= s; inside it each step is one product of the Kronecker
+    kernels with the block's later stored U (none for one-step blocks).
     State-space blocks carry the history in the state covariance and
-    step it once per block of L = 64 steps (shorter for more than four
-    channels, so the kernel slab keeps at most 64 * 4^4 entries); inside
-    a block each step is one product of the Kronecker kernels with the
-    block's stored U.  That is O(p n^2 + n^3/L + L p^4) work per step
-    for n states and p channels, and it gives the same sums up to
-    rounding.
-    Sampled blocks pay the O(K^2) convolution directly.  Stratonovich
-    loops route through the equivalent Ito block first.  Raises
-    NonFinite naming the first step whose rates overflow.
+    step it once per block: O(p n^2 + n^3/L + L p^4) work per step for
+    n states and p channels.  Sampled blocks take it from a lag-Hankel
+    matrix of the kernels (at most 2^20 entries, with shorter blocks for
+    long grids): still O(K p^4) per step, but as one matrix-vector
+    product per block.  Both give the same sums up to rounding.
+    Stratonovich loops route through the equivalent Ito block first.
+    Raises NonFinite naming the first step whose rates overflow.
     """
     _check_interpretation(interpretation)
     _check_loop_noise(sys, noise)
@@ -352,19 +409,7 @@ def covariance_trajectory(
     r = np.zeros((n_steps + 1, n, n))
     y = np.zeros((n_steps + 1, n, n))
     u[0] = w_cov
-    if block.is_state_space:
-        _blocked_recursion(block, gamma, w_cov, dt, u, r, y)
-    else:
-        kernel = impulse_response_grid(block, dt, n_steps + 1)
-        for k in range(1, n_steps + 1):
-            y[k] = np.einsum(
-                "jab,jbc,jdc->ad", kernel[1 : k + 1], u[k - 1 :: -1], kernel[1 : k + 1]
-            ) * dt
-            r[k] = gamma * y[k]
-            u[k] = w_cov + r[k]
-            if not np.isfinite(u[k]).all():
-                raise NonFinite(
-                    f"covariance trajectory overflowed at t={k * dt}"
-                )
+    recursion = _blocked_recursion if block.is_state_space else _sampled_recursion
+    recursion(block, gamma, w_cov, dt, u, r, y)
     times = np.arange(n_steps + 1) * dt
     return CovarianceTrajectory(times=times, u=u, r=r, y=y)

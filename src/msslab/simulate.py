@@ -21,11 +21,14 @@ steps and the radius they name are those of an exact check.
 The drive and the open-loop convolution need no rule: only the feedback
 product is interpretation-sensitive.
 
-Two schemes: the state-space step above, and the literal convolution sum
-y_N = sum_{k<N} M(t_N - t_k) u_k (O(N^2), works for sampled kernels and
-doubles as an oracle for the recursion).  Each scheme is one step object
-that advances a (B, p) batch of paths by one step under either rule; a
-single path is a batch of one.
+Two schemes: the state-space step above, and the convolution sum
+y_N = sum_{k<N} M(t_N - t_k) u_k (works for sampled kernels and doubles
+as an oracle for the recursion).  The sum runs in blocks of 64 steps:
+one matrix product per block brings in all earlier inputs, and each
+step adds only the block's own, so a path still costs O(N^2) in all but
+pays its history once per block, not once per step.  Each scheme is one
+step object that advances a (B, p) batch of paths by one step under
+either rule; a single path is a batch of one.
 
 Paths are reproducible and order-independent: path i draws from a Philox
 stream keyed (seed, i) in fixed chunks, so single-path runs and
@@ -49,7 +52,7 @@ from .errors import (
 )
 from .loopgain import _check_interpretation, _check_loop_noise
 from .noise import NoiseSpec, draw_increment_chunk, philox_generator
-from .system import LtiSystem, impulse_response_grid
+from .system import LtiSystem, _hankel_block, _lag_hankel, impulse_response_grid
 
 SCHEMES = ("state_space_step", "convolution_sum")
 
@@ -307,42 +310,67 @@ class _StateSpaceStep:
 class _ConvolutionStep:
     """The sum y_{k+1} = sum_{j<=k} M(t_{k+1} - t_j) u_j; owns the u history.
 
-    Holds the kernel grid and the midpoint gain G = M(dt).
+    Blocked after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput.
+    6(3), 1985): at the start s of each block of L steps (64, shorter for
+    long or wide kernels) one product of the inputs u_j, j < s, with the
+    lag-Hankel matrix [M_{s+m-j}] gives the history term of the block's
+    L outputs; each step adds the block's own inputs, at most L terms.
+    Products are stacked per row, (B, 1, s p) @ (s p, L p), so each path
+    rounds as in a batch of one.  The midpoint gain is G = M(dt).
     """
 
     def __init__(self, sys: LtiSystem, config: SimulationConfig, midpoint: bool):
-        self.kernel = impulse_response_grid(sys, config.dt, config.n_steps + 1)
-        self.gain = _midpoint_gain(self.kernel[1])
+        kernel = impulse_response_grid(sys, config.dt, config.n_steps + 1)
+        n_out, n_in = kernel.shape[1:]
+        self.size = _hankel_block(config.n_steps, n_out * n_in)
+        self.hankel = _lag_hankel(kernel, self.size)
+        # [M_L ... M_1] as rows (i, a) of lag L - i, for the block's own inputs
+        self.slab = kernel[self.size : 0 : -1].transpose(0, 2, 1).reshape(-1, n_out)
+        self.first = kernel[1]
+        self.gain = _midpoint_gain(kernel[1])
         self.midpoint = midpoint
         self.dt = config.dt
         self.n_steps = config.n_steps
 
     def reset(self, batch_size: int) -> np.ndarray:
         """Start batch_size paths at rest; returns their (B, p) output."""
-        _, n_out, n_in = self.kernel.shape
+        n_out, n_in = self.first.shape
         self.u_hist = np.zeros((batch_size, self.n_steps, n_in))
+        self.pending = np.zeros((batch_size, self.size, n_out))
         return np.zeros((batch_size, n_out))
 
     def __call__(self, k, y, dgam_k, dw_k):
         """Step k of every row: returns r, u, y_{k+1} and the rows whose
         output overflowed."""
-        kernel, u_hist = self.kernel, self.u_hist
+        u_hist, batch, n_in = self.u_hist, len(y), self.first.shape[1]
+        m = k % self.size
+        start, lo = k - m, (self.size - m - 1) * n_in
+        if k and not m:
+            past = u_hist[:, :k].reshape(batch, 1, -1)
+            hist = past @ self.hankel[(self.n_steps - k) * n_in : self.n_steps * n_in]
+            self.pending = hist.reshape(batch, self.size, -1)
         if self.midpoint:
-            base_y = np.einsum(
-                "pjm,jym->py", u_hist[:, :k], kernel[k + 1 : 1 : -1]
-            ) + np.einsum("pm,ym->py", dw_k, kernel[1])
+            base_y = self.pending[:, m] + np.einsum("pm,ym->py", dw_k, self.first)
+            if m:
+                own = u_hist[:, start:k].reshape(batch, 1, -1)
+                base_y += (own @ self.slab[lo:-n_in])[:, 0]
             r = _midpoint_solve(dgam_k, y, base_y, self.gain, k * self.dt)
+            u = dw_k + r
+            u_hist[:, k] = u
+            y_next = base_y + np.einsum("pm,ym->py", r, self.first)
         else:
             r = dgam_k * y
-        u = dw_k + r
-        u_hist[:, k] = u
-        y_next = np.einsum("pjm,jym->py", u_hist[:, : k + 1], kernel[k + 1 : 0 : -1])
+            u = dw_k + r
+            u_hist[:, k] = u
+            own = u_hist[:, start : k + 1].reshape(batch, 1, -1)
+            y_next = self.pending[:, m] + (own @ self.slab[lo:])[:, 0]
         return r, u, y_next, _overflowed(y_next)
 
     def kill(self, dead: np.ndarray, k: int) -> None:
-        """Zero the history of the dead rows up to step k; they go on from
-        rest."""
+        """Zero the history and the pending block terms of the dead rows
+        up to step k; they go on from rest."""
         self.u_hist[dead, : k + 1] = 0.0
+        self.pending[dead] = 0.0
 
 
 _STEPS = {"state_space_step": _StateSpaceStep, "convolution_sum": _ConvolutionStep}

@@ -229,6 +229,39 @@ def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
     return sys.samples[:: stride][:count].copy()
 
 
+# Steps per block of the blocked convolution sums (path simulation and
+# covariance trajectories), and the most entries a lag-Hankel matrix may
+# hold (8 MB): longer histories and wider kernels take shorter blocks.
+_BLOCK = 64
+_HANKEL_ENTRIES = 1 << 20
+
+
+def _hankel_block(n_steps: int, width: int) -> int:
+    """Block length for an n_steps grid of kernels with width entries each."""
+    return max(1, min(_BLOCK, n_steps, _HANKEL_ENTRIES // ((n_steps + 1) * width)))
+
+
+def _lag_hankel(kernels: np.ndarray, size: int) -> np.ndarray:
+    """The lag-Hankel matrix of an (N + 1, q_out, q_in) kernel stack.
+
+    kernels[l] maps an input to its contribution l steps later.  Returns
+    the ((N + 1) q_in, size q_out) matrix H[(i, a), (m, b)] = kernels[N +
+    1 + m - i][b, a], zero past lag N: row block i carries an input to
+    size consecutive outputs, the first N + 1 - i steps later.  So for a
+    block of outputs s + 1 .. s + size, the rows from (N - s) q_in on
+    take the flattened inputs x_0, x_1, .. to their history term, one
+    product for every block start s.
+    """
+    count, q_out, q_in = kernels.shape
+    # window i of the flipped, zero-padded stack holds lags N + size - i
+    # down to N + 1 - i; reversed, they are row block i of H
+    flipped = np.concatenate([np.zeros((size, q_out, q_in)), kernels[::-1]])
+    windows = np.lib.stride_tricks.sliding_window_view(flipped, size, axis=0)
+    hankel = windows[:count, :, :, ::-1].transpose(0, 2, 3, 1)
+    # a C-ordered copy, so each row slice is a BLAS operand
+    return np.ascontiguousarray(hankel).reshape(-1, size * q_out)
+
+
 def is_hurwitz(a, margin: float = HURWITZ_MARGIN) -> bool:
     """True when every eigenvalue has real part < -margin.
 

@@ -22,6 +22,7 @@ from msslab import (
     DimensionMismatch,
     NonFinite,
     NotMss,
+    SingularFixedPoint,
 )
 
 
@@ -222,6 +223,65 @@ class TestVerdicts:
             AnalysisOptions(quad_dt=-1.0)
 
 
+def coupled_loop():
+    """16 states, 4 channels: Hurwitz A with spectral abscissa -1, dense B
+    and C (C B not diagonal), a correlated gain covariance Gamma."""
+    rng = np.random.default_rng(1)
+    n, p = 16, 4
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a = a - (np.max(np.linalg.eigvals(a).real) + 1.0) * np.eye(n)
+    b = 2.0 * rng.standard_normal((n, p)) / np.sqrt(n)
+    c = 2.0 * rng.standard_normal((p, n)) / np.sqrt(n)
+    g = rng.standard_normal((p, p))
+    g = g @ g.T / p + np.eye(p)
+    return msslab.make_state_space(a, b, c), g / np.max(np.diag(g))
+
+
+def backward_error(handle, u_bar, w_cov):
+    """||(I - K) u - w|| / (||I - K||_F ||u|| + ||w||), 2-norms of vectors."""
+    lhs = np.eye(u_bar.size) - msslab.lgo_matrix_apply(handle)
+    u, w = u_bar.flatten(order="F"), w_cov.flatten(order="F")
+    residual = np.linalg.norm(lhs @ u - w)
+    return residual / (np.linalg.norm(lhs) * np.linalg.norm(u) + np.linalg.norm(w))
+
+
+class TestSteadyStateSolve:
+    @pytest.mark.parametrize("margin", [1e-8, 1e-9])
+    def test_verdict_close_to_the_boundary(self, margin):
+        # rho is linear in the Ito gain, so scaling Gamma puts 1 - rho at
+        # the margin; there the steady state is about 1 / margin large and
+        # a residual test that ignores ||u|| refused it
+        sys, gamma = coupled_loop()
+        w_cov = np.eye(4)
+        rho = msslab.analyze(sys, msslab.validate_noise(gamma, w_cov)).rho
+        spec = msslab.validate_noise(gamma * (1.0 - margin) / rho, w_cov)
+        v = msslab.analyze(sys, spec, "ito")
+        assert v.mss
+        assert 0.5 * margin < 1.0 - v.rho < 2.0 * margin
+        u_bar = v.steady_state.u_bar
+        assert np.abs(u_bar).max() > 0.1 / margin
+        handle = msslab.make_lgo(sys, spec.gamma_cov, "ito")
+        bound = msslab.analysis._BACKWARD_ERROR_BOUND
+        assert bound <= 64 * np.finfo(float).eps
+        assert backward_error(handle, u_bar, w_cov) <= bound
+
+    def test_refusals(self, monkeypatch):
+        # a singular I - K, a non-finite one and an inaccurate solve are
+        # each refused
+        sys, gamma = coupled_loop()
+        handle = msslab.make_lgo(sys, 0.1 * gamma, "ito")
+        solve = msslab.analysis._solve_steady_state
+        for k in (np.eye(16), np.full((16, 16), np.nan)):
+            monkeypatch.setattr(msslab.analysis, "lgo_matrix_apply", lambda h, k=k: k)
+            with pytest.raises(SingularFixedPoint):
+                solve(handle, np.eye(4))
+        monkeypatch.undo()
+        solve(handle, np.eye(4))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: b * (1.0 + 1e-12))
+        with pytest.raises(SingularFixedPoint, match="backward error"):
+            solve(handle, np.eye(4))
+
+
 class TestCovarianceTrajectory:
     def test_open_loop_exact_discrete_sum(self):
         # var_y(t_K) = dt e^{-2dt} (1 - e^{-2K dt}) / (1 - e^{-2dt})
@@ -407,3 +467,95 @@ class TestBlockedRecursion:
             similar, spec, interpretation, horizon=n_steps * dt, dt=dt
         )
         assert_same_rates(got, (want.u, want.r, want.y))
+
+
+def einsum_trajectory(block, spec, n_steps, dt):
+    """Reference: the sampled convolution one step at a time,
+
+        Y_k = dt sum_{j=1..k} M_j U_{k-j} M_j^T,
+
+    one einsum over the whole history per step, returning (u, r, y) or
+    raising NonFinite at the first bad step.
+    """
+    kernel = msslab.impulse_response_grid(block, dt, n_steps + 1)
+    p = spec.n_gains
+    u = np.empty((n_steps + 1, p, p))
+    r = np.zeros((n_steps + 1, p, p))
+    y = np.zeros((n_steps + 1, p, p))
+    u[0] = spec.w_cov
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            y[k] = np.einsum(
+                "jab,jbc,jdc->ad", kernel[1 : k + 1], u[k - 1 :: -1], kernel[1 : k + 1]
+            ) * dt
+            r[k] = spec.gamma_cov * y[k]
+            u[k] = spec.w_cov + r[k]
+            if not np.isfinite(u[k]).all():
+                raise NonFinite(f"covariance trajectory overflowed at t={k * dt}")
+    return u, r, y
+
+
+def random_sampled_loop(rng, p, count, zeros, dt):
+    """A decaying random p x p kernel whose first samples vanish (a delay)."""
+    t = dt * np.arange(count)[:, None, None]
+    samples = rng.standard_normal((count, p, p)) * np.exp(-t) / p
+    samples[:zeros] = 0.0
+    spec = msslab.validate_noise(
+        random_psd(rng, p, 0.5), random_psd(rng, p) + 0.1 * np.eye(p)
+    )
+    return msslab.make_sampled(dt, samples), spec
+
+
+class TestSampledRecursion:
+    """The blocked sampled-kernel recursion against the einsum reference."""
+
+    @pytest.mark.parametrize("zeros", [0, 1, 20])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_einsum_reference(self, p, zeros):
+        rng = np.random.default_rng(2000 + 10 * p + zeros)
+        dt = 0.05
+        block, spec = random_sampled_loop(rng, p, 201, zeros, dt)
+        for n_steps in (1, L - 1, L, L + 1, 200):
+            got = msslab.covariance_trajectory(
+                block, spec, "ito", horizon=n_steps * dt, dt=dt
+            )
+            want = einsum_trajectory(block, spec, n_steps, dt)
+            assert_same_rates(got, want, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [201 * 81 * 5, 1])
+    def test_long_grids_take_shorter_blocks(self, cap, monkeypatch):
+        # a smaller lag-Hankel budget gives 5-step and one-step blocks
+        monkeypatch.setattr(msslab.system, "_HANKEL_ENTRIES", cap)
+        rng = np.random.default_rng(2100)
+        dt, n_steps = 0.05, 200
+        block, spec = random_sampled_loop(rng, 3, n_steps + 1, 3, dt)
+        got = msslab.covariance_trajectory(
+            block, spec, "ito", horizon=n_steps * dt, dt=dt
+        )
+        assert_same_rates(got, einsum_trajectory(block, spec, n_steps, dt), rel=1e-12)
+
+    @pytest.mark.parametrize("s2", [40.0, 100.0])
+    def test_overflow_names_the_first_step_out_of_range(self, s2):
+        # M(t) = e^{3t}.  Run at scale 1e-200 (W too, which is negligible
+        # by then) the scalar recursion cannot overflow, and the first
+        # step whose U_k passes the largest float is where the rates
+        # overflow: t = 17.91 for s2 = 40 and 9.43 for s2 = 100
+        dt, n_steps, scale = 1e-2, 2000, 1e-200
+        samples = np.exp(3.0 * dt * np.arange(n_steps + 1))
+        u = np.zeros(n_steps + 1)
+        u[0] = scale
+        for k in range(1, n_steps + 1):
+            u[k] = scale + s2 * dt * (samples[1 : k + 1] ** 2 @ u[k - 1 :: -1])
+            if u[k] > np.finfo(float).max * scale:
+                break
+        block = msslab.make_sampled(dt, samples)
+        with pytest.raises(NonFinite) as got:
+            msslab.covariance_trajectory(
+                block, noise(s2), "ito", horizon=n_steps * dt, dt=dt
+            )
+        assert str(got.value) == f"covariance trajectory overflowed at t={k * dt}"
+        # the einsum reference forms M_j U_j before the second M_j and dt,
+        # so it can overflow a step or two early (t = 17.89 for s2 = 40)
+        with pytest.raises(NonFinite) as ref:
+            einsum_trajectory(block, noise(s2), n_steps, dt)
+        assert float(str(ref.value).split("t=")[1]) <= k * dt

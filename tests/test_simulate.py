@@ -568,6 +568,82 @@ class TestMidpointSolve:
             msslab.run_ensemble(scalar_block(), noise(400.0), huge)
 
 
+class TestBlockedConvolution:
+    """The convolution sum in blocks: history products, batches, kills."""
+
+    BLOCK = TestMidpointSolve.GENERAL
+    NOISE = TestMidpointSolve.COUPLED_NOISE
+    # 150 steps cross the block starts at steps 64 and 128
+    CFG = SimulationConfig(
+        dt=0.01, horizon=1.5, n_paths=1, seed=21, scheme="convolution_sum"
+    )
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_outputs_are_the_full_convolution_of_the_inputs(self, interpretation):
+        cfg = replace(self.CFG, interpretation=interpretation)
+        path = msslab.simulate_path(self.BLOCK, self.NOISE, cfg)
+        kernel = impulse_response_grid(self.BLOCK, cfg.dt, cfg.n_steps + 1)
+        u = path.u_increments
+        want = [
+            np.einsum("jab,jb->a", kernel[k + 1 : 0 : -1], u[: k + 1])
+            for k in range(cfg.n_steps)
+        ]
+        scale = np.abs(path.y).max()
+        assert_allclose(path.y[1:], want, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_ensemble_paths_are_single_paths(self, interpretation):
+        # path 2048 opens the second batch; each row's history product is
+        # a vector-matrix product of its own, as in a batch of one
+        cfg = replace(
+            self.CFG, n_paths=_PATH_BATCH + 1, interpretation=interpretation
+        )
+        ens = msslab.run_ensemble(self.BLOCK, self.NOISE, cfg, record_increments=True)
+        for i in (0, 1, _PATH_BATCH):
+            path = msslab.simulate_path(self.BLOCK, self.NOISE, cfg, path_index=i)
+            assert_array_equal(ens.r_paths[i], path.r_increments)
+            assert_array_equal(ens.u_paths[i], path.u_increments)
+
+    @pytest.mark.parametrize("midpoint", [False, True])
+    def test_killed_rows_go_on_from_rest(self, midpoint):
+        # rows 1 and 3 die at steps 40 (first block) and 100 (second
+        # block, whose history term holds their earlier inputs).  Rows 2
+        # and 4 get zero increments up to those steps and the same ones
+        # after: paths at rest that never died, which the dead rows must
+        # match bit for bit
+        cfg = self.CFG
+        rng = np.random.default_rng(5)
+        dgam = 0.1 * rng.standard_normal((cfg.n_steps, 5, 2))
+        dw = 0.1 * rng.standard_normal((cfg.n_steps, 5, 2))
+        deaths = {40: (1, 2), 100: (3, 4)}
+        for at, (dead, twin) in deaths.items():
+            dgam[:, twin], dw[:, twin] = dgam[:, dead], dw[:, dead]
+            dgam[: at + 1, twin] = dw[: at + 1, twin] = 0.0
+        step = _STEPS["convolution_sum"](self.BLOCK, cfg, midpoint)
+        y = step.reset(5)
+        ys = [y]
+        for k in range(cfg.n_steps):
+            _, _, y, _ = step(k, y, dgam[k], dw[k])
+            if k in deaths:
+                killed = np.arange(5) == deaths[k][0]
+                y[killed] = 0.0
+                step.kill(killed, k)
+            ys.append(y)
+        ys = np.array(ys)
+        for at, (dead, twin) in deaths.items():
+            assert_array_equal(ys[at + 1 :, dead], ys[at + 1 :, twin])
+            assert np.abs(ys[-1, dead]).min() > 0.0
+            # and a fresh path started on the later increments agrees to
+            # rounding, with its blocks aligned differently
+            fresh = _STEPS["convolution_sum"](self.BLOCK, cfg, midpoint)
+            y_fresh = fresh.reset(1)
+            scale = np.abs(ys[at + 1 :, dead]).max()
+            for j in range(cfg.n_steps - at - 1):
+                k = at + 1 + j
+                _, _, y_fresh, _ = fresh(j, y_fresh, dgam[k, dead : dead + 1], dw[k, dead : dead + 1])
+                assert_allclose(y_fresh[0], ys[k + 1, dead], rtol=0, atol=1e-13 * scale)
+
+
 class TestRecording:
     def test_shapes_and_diagnostics(self):
         cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=120, seed=2)

@@ -22,6 +22,7 @@ from msslab import (
     SingularSystem,
     TooFewSamples,
 )
+from msslab.system import _lag_hankel
 
 
 def eig_expm(a):
@@ -207,3 +208,29 @@ class TestLyapunovAndH2:
         assert not msslab.is_hurwitz(np.array([[0.0]]))
         assert not msslab.is_hurwitz(np.array([[1e-12]]))
 
+
+
+class TestLagHankel:
+    def test_rows_give_every_block_its_history_term(self):
+        # kernels[l] maps a 3-vector to a 2-vector l steps later; for each
+        # block start s the rows from (N - s) q_in on, times x_0 .. x_t,
+        # give sum_{j<=t} kernels[s + m - j] x_j for m = 1..size (zero
+        # past lag N)
+        rng = np.random.default_rng(11)
+        n, size = 9, 4
+        kernels = rng.standard_normal((n + 1, 2, 3))
+        x = rng.standard_normal((n, 3))
+        hankel = _lag_hankel(kernels, size)
+        assert hankel.shape == ((n + 1) * 3, size * 2)
+        for s in range(n):
+            for t in range(s + 1):
+                rows = hankel[(n - s) * 3 : (n - s + t + 1) * 3]
+                got = (x[: t + 1].reshape(-1) @ rows).reshape(size, 2)
+                want = [
+                    sum(
+                        (kernels[s + m - j] @ x[j] for j in range(t + 1) if s + m - j <= n),
+                        np.zeros(2),
+                    )
+                    for m in range(1, size + 1)
+                ]
+                assert_allclose(got, want, rtol=1e-13, atol=1e-13)
