@@ -84,10 +84,32 @@ def validate_noise(gamma_cov, w_cov) -> NoiseSpec:
     )
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+
+
 def philox_generator(seed: int, stream: int) -> np.random.Generator:
     """Generator for one named stream of a seed (counter-based Philox)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def _philox_state(seed: int, stream: int) -> dict:
+    """The state of philox_generator(seed, stream) before its first draw.
+
+    Assigning it to the bit generator of any Philox Generator re-keys
+    that generator to the stream: counter zero, the stream's key and an
+    empty output buffer.  This costs a few microseconds, where building a
+    Generator costs tens (Philox seeds a SeedSequence from OS entropy
+    before the key overrides it), so batches of paths share one.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": _philox_key(seed, stream)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def draw_increment_chunk(
@@ -99,6 +121,7 @@ def draw_increment_chunk(
     reproducibility contract shared by single-path and ensemble runs.
     """
     root_dt = np.sqrt(dt)
-    dgamma = gen.standard_normal((n_steps, spec.n_gains)) @ spec.gamma_factor.T * root_dt
-    dw = gen.standard_normal((n_steps, spec.n_drive)) @ spec.w_factor.T * root_dt
+    # np.dot, not matmul: matmul takes numpy's own loop for one channel
+    dgamma = np.dot(gen.standard_normal((n_steps, spec.n_gains)), spec.gamma_factor.T) * root_dt
+    dw = np.dot(gen.standard_normal((n_steps, spec.n_drive)), spec.w_factor.T) * root_dt
     return dgamma, dw

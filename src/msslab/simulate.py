@@ -32,8 +32,11 @@ either rule; a single path is a batch of one.
 
 Paths are reproducible and order-independent: path i draws from a Philox
 stream keyed (seed, i) in fixed chunks, so single-path runs and
-ensembles see identical noise.  Ensembles run serially in fixed batches
-of paths and add each batch's per-time sums in batch order.
+ensembles see identical noise.  An ensemble batch shares one bit
+generator, re-keyed to (seed, i) before path i's draws, which gives the
+same streams as one generator per path.  Ensembles run serially in fixed
+batches of paths and add each batch's per-time sums in batch order;
+until a path of the batch diverges, the sums skip the survivor mask.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     RealizationRequired,
 )
 from .loopgain import _check_interpretation, _check_loop_noise
-from .noise import NoiseSpec, draw_increment_chunk, philox_generator
+from .noise import NoiseSpec, _philox_state, draw_increment_chunk, philox_generator
 from .system import LtiSystem, _hankel_block, _lag_hankel, impulse_response_grid
 
 SCHEMES = ("state_space_step", "convolution_sum")
@@ -152,14 +155,15 @@ def _check_increments(
 def _midpoint_gain(g: np.ndarray):
     """G prepared for _midpoint_solve, once per run.
 
-    Returns (diagonal of G, None) when G is diagonal, where the solve is a
-    division, else (G, (row sums of |G|, |G|)) for the radius bound.
+    Returns (diagonal of G, None, None) when G is diagonal, where the
+    solve is a division, else (G, (row sums of |G|, |G|), I) for the
+    radius bound and the solve.
     """
     diag = np.diagonal(g)
     if np.array_equal(g, np.diag(diag)):
-        return diag.copy(), None
+        return diag.copy(), None, None
     abs_g = np.abs(g)
-    return g, (abs_g.sum(axis=1), abs_g)
+    return g, (abs_g.sum(axis=1), abs_g), np.eye(len(g))
 
 
 def _loop_norm(half, abs_rows, abs_g):
@@ -193,7 +197,7 @@ def _midpoint_solve(dgam_k, y_k, base_y, gain, t: float):
     only, so a refusal names the same radius as an exact check of every
     matrix would.  Works on (n,) vectors and (B, n) batches alike.
     """
-    g, bound = gain
+    g, bound, identity = gain
     half = 0.5 * dgam_k
     rhs = half * (y_k + base_y)
     if bound is None:
@@ -219,7 +223,7 @@ def _midpoint_solve(dgam_k, y_k, base_y, gain, t: float):
         )
     if bound is None:
         return rhs / (1.0 - loop)
-    return np.linalg.solve(np.eye(len(g)) - loop, rhs[..., None])[..., 0]
+    return np.linalg.solve(identity - loop, rhs[..., None])[..., 0]
 
 
 def simulate_path_ito(
@@ -269,7 +273,10 @@ class _StateSpaceStep:
     """The Euler step x_{k+1} = (I + A dt) x_k + B u_k, y = C x; owns x.
 
     Holds the midpoint gain G = C B.  States are the rows of a (B, n)
-    array; one path is a batch of one.
+    array; one path is a batch of one.  Products use np.dot, which calls
+    BLAS where matmul takes numpy's own loop (one state or channel).  The
+    transposes stay views: with contiguous copies BLAS runs other kernels,
+    which round a single path's products (and some batches') differently.
     """
 
     def __init__(self, sys: LtiSystem, config: SimulationConfig, midpoint: bool):
@@ -292,15 +299,15 @@ class _StateSpaceStep:
     def __call__(self, k, y, dgam_k, dw_k):
         """Step k of every row: returns r, u, y_{k+1} and the rows whose
         state overflowed."""
-        drift = self.x @ self.one_step_t
+        drift = np.dot(self.x, self.one_step_t)
         if self.midpoint:
-            base_y = (drift + dw_k @ self.b_t) @ self.c_t
+            base_y = np.dot(drift + np.dot(dw_k, self.b_t), self.c_t)
             r = _midpoint_solve(dgam_k, y, base_y, self.gain, k * self.dt)
         else:
             r = dgam_k * y
         u = dw_k + r
-        self.x = drift + u @ self.b_t
-        return r, u, self.x @ self.c_t, _overflowed(self.x)
+        self.x = drift + np.dot(u, self.b_t)
+        return r, u, np.dot(self.x, self.c_t), _overflowed(self.x)
 
     def kill(self, dead: np.ndarray, k: int) -> None:
         """Zero the state of the dead rows; they go on from rest."""
@@ -449,48 +456,63 @@ class _EnsembleSums:
         self.sum_qv = np.zeros(n_steps + 1)
 
 
+def _masked(values, alive):
+    """values with the dead rows zeroed; alive is None while none died."""
+    return values if alive is None else np.where(alive, values, 0.0)
+
+
 def _record_time(sums, k, y, alive, qv_run):
+    # dead rows are held at zero, so only their count and their running
+    # quadratic variation need the mask
     s = np.einsum("pj,pj->p", y, y)
-    s_alive = np.where(alive, s, 0.0)
-    sums.sum_y2[k] += s_alive.sum()
-    sums.sum_y4[k] += (s_alive * s_alive).sum()
-    sums.alive_count[k] += int(alive.sum())
-    sums.sum_qv[k] += np.where(alive, qv_run, 0.0).sum()
+    sums.sum_y2[k] += s.sum()
+    sums.sum_y4[k] += (s * s).sum()
+    sums.alive_count[k] += len(y) if alive is None else int(alive.sum())
+    sums.sum_qv[k] += _masked(qv_run, alive).sum()
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_batch(step, noise, config, first_path, batch_size, sums, r_store, u_store):
     n_steps = config.n_steps
     dt = config.dt
-    gens = [
-        philox_generator(config.seed, first_path + i) for i in range(batch_size)
-    ]
+    # one Generator for the batch, re-keyed to path i before its draws;
+    # a run longer than one chunk saves each path's state between chunks
+    gen = philox_generator(config.seed, first_path)
+    states = [None] * batch_size
     rows = slice(first_path, first_path + batch_size)
     y = step.reset(batch_size)
     y_prev = np.zeros_like(y)
     qv_run = np.zeros(batch_size)
-    alive = np.ones(batch_size, dtype=bool)
+    # None until a row diverges: the sums then skip the mask
+    alive = None
     k = 0
     while k < n_steps:
         chunk = min(_STEP_CHUNK, n_steps - k)
         dgam = np.empty((batch_size, chunk, noise.n_gains))
         dw = np.empty((batch_size, chunk, noise.n_drive))
-        for i, gen in enumerate(gens):
+        for i in range(batch_size):
+            gen.bit_generator.state = (
+                states[i] if k else _philox_state(config.seed, first_path + i)
+            )
             dgam[i], dw[i] = draw_increment_chunk(noise, dt, chunk, gen)
+            if k + chunk < n_steps:
+                states[i] = gen.bit_generator.state
         for j in range(chunk):
             if k > 0:
                 dy = y - y_prev
-                qv_run += np.where(alive, np.einsum("pj,pj->p", dy, dy), 0.0)
+                qv_run += np.einsum("pj,pj->p", dy, dy)
             _record_time(sums, k, y, alive, qv_run)
             r, u, y_next, bad = step(k, y, dgam[:, j], dw[:, j])
             u2 = np.einsum("pj,pj->p", u, u)
-            sums.sum_u2[k] += np.where(alive, u2, 0.0).sum() / dt
+            sums.sum_u2[k] += _masked(u2, alive).sum() / dt
             if r_store is not None:
-                live = alive[:, None]
-                r_store[rows, k] = np.where(live, r, 0.0)
-                u_store[rows, k] = np.where(live, u, 0.0)
-            alive = alive & ~bad
-            if not alive.all():
+                live = None if alive is None else alive[:, None]
+                r_store[rows, k] = _masked(r, live)
+                u_store[rows, k] = _masked(u, live)
+            if alive is None and bad.any():
+                alive = np.ones(batch_size, dtype=bool)
+            if alive is not None:
+                alive &= ~bad
                 dead = ~alive
                 y_next[dead] = 0.0
                 step.kill(dead, k)
@@ -498,7 +520,7 @@ def _run_batch(step, noise, config, first_path, batch_size, sums, r_store, u_sto
             y = y_next
             k += 1
     dy = y - y_prev
-    qv_run += np.where(alive, np.einsum("pj,pj->p", dy, dy), 0.0)
+    qv_run += np.einsum("pj,pj->p", dy, dy)
     _record_time(sums, n_steps, y, alive, qv_run)
 
 
@@ -677,15 +699,13 @@ def open_loop_terminal_samples(
         kernels = stack[1::2][::-1]
     root_dt = np.sqrt(dt)
     out = np.empty((n_paths, sys.n_out))
+    gen = philox_generator(seed, 0)
     for start in range(0, n_paths, _PATH_BATCH):
         stop = min(start + _PATH_BATCH, n_paths)
         dw = np.empty((stop - start, n_steps, noise.n_drive))
         for i in range(start, stop):
-            gen = philox_generator(seed, i)
-            dw[i - start] = (
-                gen.standard_normal((n_steps, noise.n_drive))
-                @ noise.w_factor.T
-                * root_dt
-            )
+            gen.bit_generator.state = _philox_state(seed, i)
+            normals = gen.standard_normal((n_steps, noise.n_drive))
+            dw[i - start] = np.dot(normals, noise.w_factor.T) * root_dt
         out[start:stop] = np.einsum("pkm,kym->py", dw, kernels)
     return out

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
 from msslab import NotPsd, NotSymmetric
+from msslab.noise import _philox_state
 
 
 class TestValidateNoise:
@@ -93,3 +94,24 @@ class TestStreams:
         raw = msslab.philox_generator(3, 0).standard_normal(8)
         assert_allclose(dg[:, 0], raw[:4])
         assert_allclose(dw[:, 0], raw[4:])
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+    def test_rekeyed_generator_replays_each_stream(self, seed):
+        # one Generator re-keyed stream by stream, as an ensemble batch
+        # draws, after an odd-length draw on another stream that leaves a
+        # part-used output buffer and a spare 32-bit word behind
+        gen = msslab.philox_generator(12345, 99)
+        gen.random(3)
+        gen.integers(0, 1000, size=3, dtype=np.int32)
+        left = gen.bit_generator.state
+        assert left["buffer_pos"] != 4 and left["has_uint32"] == 1
+        for stream in (0, 1, 2049):
+            gen.bit_generator.state = _philox_state(seed, stream)
+            fresh = msslab.philox_generator(seed, stream)
+            for draw in (
+                # the full range returns raw 32-bit words, a stale one too
+                lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                lambda g: g.standard_normal(7),
+                lambda g: g.random(3),
+            ):
+                assert_array_equal(draw(gen), draw(fresh))

@@ -24,6 +24,7 @@ from msslab import (
 from msslab.noise import draw_increment_chunk, philox_generator
 from msslab.simulate import (
     _PATH_BATCH,
+    _STEP_CHUNK,
     _STEPS,
     _draw_path_increments,
     _loop_norm,
@@ -264,6 +265,25 @@ class TestBatching:
         y2 = np.mean([np.sum(p.y**2, axis=1) for p in paths], axis=0)
         assert_allclose(ens.var_y, y2, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+    def test_paths_carry_their_streams_across_draw_chunks(self, interpretation, scheme):
+        # two steps past one draw chunk: each path's second chunk goes on
+        # from the Philox state its first chunk left, as in simulate_path
+        dt = 0.001
+        cfg = SimulationConfig(
+            dt=dt, horizon=(_STEP_CHUNK + 2) * dt, n_paths=3, seed=17,
+            interpretation=interpretation, scheme=scheme,
+        )
+        assert cfg.n_steps == _STEP_CHUNK + 2
+        ens = msslab.run_ensemble(
+            scalar_block(), noise(0.5), cfg, record_increments=True
+        )
+        for i in range(cfg.n_paths):
+            path = msslab.simulate_path(scalar_block(), noise(0.5), cfg, path_index=i)
+            assert_array_equal(ens.r_paths[i], path.r_increments)
+            assert_array_equal(ens.u_paths[i], path.u_increments)
+
 
 class TestQuadraticVariationHelper:
     def test_wiener_increments_accumulate_t(self):
@@ -345,6 +365,43 @@ class TestDivergence:
         _, _, y_rest, _ = fresh(0, fresh.reset(1), dgam[1:], dw[1:])
         assert_array_equal(y_next[1], y_rest[0])
         assert y_next[0, 0] != y_rest[0, 0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_partial_divergence_keeps_survivor_statistics(self, scheme, monkeypatch):
+        # A = 0 and a large gain: |1 + dgamma| spreads the paths, so they
+        # cross the limit at scattered steps and some outlast the horizon.
+        # A limit of 1e3 keeps the survivors small enough that a dead row's
+        # drive increment would show in the sums.  The ensemble sums switch
+        # from unmasked to masked at the first death
+        monkeypatch.setattr(msslab.simulate, "OVERFLOW_LIMIT", 1e3)
+        block = msslab.make_state_space([[0.0]], [[1.0]], [[1.0]])
+        cfg = SimulationConfig(dt=0.1, horizon=50.0, n_paths=12, seed=4, scheme=scheme)
+        ens = msslab.run_ensemble(block, noise(10.0), cfg)
+        paths = [
+            msslab.simulate_path(block, noise(10.0), cfg, path_index=i)
+            for i in range(cfg.n_paths)
+        ]
+        ends = np.array([p.diverged_at or cfg.n_steps + 1 for p in paths])
+        died = ends[ends <= cfg.n_steps]
+        assert len(np.unique(died)) >= 3
+        assert len(died) < cfg.n_paths
+        # a path counts at t_k for k < diverged_at, so the step that
+        # overflowed (k = diverged_at - 1) still counts for u
+        alive = np.arange(cfg.n_steps + 1) < ends[:, None]
+        count = alive.sum(axis=0)
+        assert_array_equal(ens.n_diverged, cfg.n_paths - count)
+        y2 = np.where(alive, np.stack([p.y[:, 0] ** 2 for p in paths]), 0.0)
+        assert_allclose(ens.var_y, y2.sum(axis=0) / count, rtol=1e-12)
+        qv = np.stack([quadratic_variation(p.y) for p in paths])
+        assert_allclose(
+            ens.qv_y, np.where(alive, qv, 0.0).sum(axis=0) / count, rtol=1e-12
+        )
+        u2 = np.stack([p.u_increments[:, 0] ** 2 for p in paths]) / cfg.dt
+        assert_allclose(
+            ens.var_u_increments,
+            np.where(alive[:, :-1], u2, 0.0).sum(axis=0) / count[:-1],
+            rtol=1e-12,
+        )
 
     def test_stable_run_has_no_divergence(self):
         cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=20, seed=0)
