@@ -18,7 +18,6 @@ from .errors import (
     BadGrid,
     NonFinite,
     NotHurwitz,
-    NotMss,
     SingularFixedPoint,
 )
 from .loopgain import (
@@ -203,22 +202,6 @@ def analyze(
         steady_state=steady_state,
         flags=tuple(flags),
     )
-
-
-def steady_state_covariances(
-    sys: LtiSystem,
-    noise: NoiseSpec,
-    interpretation: str = "ito",
-    options: AnalysisOptions | None = None,
-) -> SteadyState:
-    """Stationary covariance rates; raises NotMss for unstable loops."""
-    verdict = analyze(sys, noise, interpretation, options)
-    if not verdict.mss:
-        raise NotMss(
-            f"loop is not mean-square stable (h2_finite={verdict.h2_finite}, "
-            f"rho={verdict.rho})"
-        )
-    return verdict.steady_state
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,6 @@ class SingularKroneckerSum(SingularSystem):
     was singular or the result failed its residual check."""
 
 
-class NotMss(MsslabError):
-    """Steady-state covariances were requested for a loop that is not
-    mean-square stable."""
-
-
 class SingularFixedPoint(MsslabError):
     """The steady-state fixed-point system (I - K) is singular."""
 

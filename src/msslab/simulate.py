@@ -28,15 +28,19 @@ one matrix product per block brings in all earlier inputs, and each
 step adds only the block's own, so a path still costs O(N^2) in all but
 pays its history once per block, not once per step.  Each scheme is one
 step object that advances a (B, p) batch of paths by one step under
-either rule; a single path is a batch of one.
+either rule.
+
+One stepping loop, _advance, runs an ensemble batch and a single path (a
+batch of one) alike.  A path whose output overflows is frozen once: its
+state, output and remaining increments are zeroed, so it stays exactly
+at rest and never reaches the midpoint solve again.
 
 Paths are reproducible and order-independent: path i draws from a Philox
 stream keyed (seed, i) in fixed chunks, so single-path runs and
 ensembles see identical noise.  An ensemble batch shares one bit
 generator, re-keyed to (seed, i) before path i's draws, which gives the
 same streams as one generator per path.  Ensembles run serially in fixed
-batches of paths and add each batch's per-time sums in batch order;
-until a path of the batch diverges, the sums skip the survivor mask.
+batches of paths and add each batch's per-time sums in batch order.
 """
 
 from __future__ import annotations
@@ -383,8 +387,63 @@ class _ConvolutionStep:
 _STEPS = {"state_space_step": _StateSpaceStep, "convolution_sum": _ConvolutionStep}
 
 
-# Overflow at the divergence-detection step is expected data, not an
-# error: a path stops there, and a batch freezes its dead rows at zero.
+def _batch_increments(
+    noise: NoiseSpec, config: SimulationConfig, first_path: int, batch_size: int
+):
+    """Increment chunks (dgam, dw), each (B, chunk, p), for a batch of paths.
+
+    One Generator serves the batch, re-keyed to path i before its draws;
+    a run longer than one chunk saves each path's state between chunks.
+    """
+    n_steps = config.n_steps
+    gen = philox_generator(config.seed, first_path)
+    states = [None] * batch_size
+    for k in range(0, n_steps, _STEP_CHUNK):
+        chunk = min(_STEP_CHUNK, n_steps - k)
+        dgam = np.empty((batch_size, chunk, noise.n_gains))
+        dw = np.empty((batch_size, chunk, noise.n_drive))
+        for i in range(batch_size):
+            gen.bit_generator.state = (
+                states[i] if k else _philox_state(config.seed, first_path + i)
+            )
+            dgam[i], dw[i] = draw_increment_chunk(noise, config.dt, chunk, gen)
+            if k + chunk < n_steps:
+                states[i] = gen.bit_generator.state
+        yield dgam, dw
+
+
+def _advance(step, chunks, batch_size: int):
+    """Step a batch through its (B, chunk, p) increment chunks.
+
+    Yields k, r_k, u_k, y_{k+1} and the rows that diverged at step k, or
+    None.  A diverged row is frozen once (output, state and later
+    increments zeroed) and stays exactly at rest; the run stops when
+    every row has diverged.  Callers silence the expected overflow.
+    """
+    y = step.reset(batch_size)
+    dead = np.zeros(batch_size, dtype=bool)
+    k = 0
+    for dgam, dw in chunks:
+        if dead.any():
+            dgam[dead] = 0.0
+            dw[dead] = 0.0
+        for j in range(dgam.shape[1]):
+            r, u, y_next, bad = step(k, y, dgam[:, j], dw[:, j])
+            if bad.any():
+                y_next[bad] = 0.0
+                step.kill(bad, k)
+                dead |= bad
+                yield k, r, u, y_next, bad
+                if dead.all():
+                    return
+                dgam[bad, j + 1 :] = 0.0
+                dw[bad, j + 1 :] = 0.0
+            else:
+                yield k, r, u, y_next, None
+            y = y_next
+            k += 1
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_path(sys, noise, config, path_index, midpoint, increments):
     _check_loop_noise(sys, noise)
@@ -395,25 +454,22 @@ def _simulate_path(sys, noise, config, path_index, midpoint, increments):
     else:
         dgam, dw = _check_increments(noise, n_steps, increments)
     step = _STEPS[config.scheme](sys, config, midpoint)
-    step.reset(1)
-    # (step, 1, p) arrays: index k is the one-row batch of step k
-    y = np.zeros((n_steps + 1, 1, sys.n_out))
-    r_inc = np.zeros((n_steps, 1, sys.n_in))
-    u_inc = np.zeros((n_steps, 1, sys.n_in))
-    dgam, dw = dgam[:, None], dw[:, None]
+    y = np.zeros((n_steps + 1, sys.n_out))
+    r_inc = np.zeros((n_steps, sys.n_in))
+    u_inc = np.zeros((n_steps, sys.n_in))
     diverged_at = None
-    for k in range(n_steps):
-        r_inc[k], u_inc[k], y_next, bad = step(k, y[k], dgam[k], dw[k])
-        if bad[0]:
+    # one chunk; the run stops when its only row dies, before any
+    # increment is zeroed, so the caller's arrays are only read
+    for k, r, u, y_next, died in _advance(step, [(dgam[None], dw[None])], 1):
+        r_inc[k], u_inc[k], y[k + 1] = r[0], u[0], y_next[0]
+        if died is not None:
             diverged_at = k + 1
             y[k + 1 :] = np.nan
-            break
-        y[k + 1] = y_next
     return PathResult(
         times=config.times,
-        y=y[:, 0],
-        u_increments=u_inc[:, 0],
-        r_increments=r_inc[:, 0],
+        y=y,
+        u_increments=u_inc,
+        r_increments=r_inc,
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
     )
@@ -445,85 +501,6 @@ class SimulationEnsemble:
     u_paths: np.ndarray | None = None
 
 
-class _EnsembleSums:
-    """Per-time sums over the paths, added batch by batch in path order."""
-
-    def __init__(self, n_steps: int):
-        self.sum_y2 = np.zeros(n_steps + 1)
-        self.sum_y4 = np.zeros(n_steps + 1)
-        self.alive_count = np.zeros(n_steps + 1, dtype=np.int64)
-        self.sum_u2 = np.zeros(n_steps)
-        self.sum_qv = np.zeros(n_steps + 1)
-
-
-def _masked(values, alive):
-    """values with the dead rows zeroed; alive is None while none died."""
-    return values if alive is None else np.where(alive, values, 0.0)
-
-
-def _record_time(sums, k, y, alive, qv_run):
-    # dead rows are held at zero, so only their count and their running
-    # quadratic variation need the mask
-    s = np.einsum("pj,pj->p", y, y)
-    sums.sum_y2[k] += s.sum()
-    sums.sum_y4[k] += (s * s).sum()
-    sums.alive_count[k] += len(y) if alive is None else int(alive.sum())
-    sums.sum_qv[k] += _masked(qv_run, alive).sum()
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _run_batch(step, noise, config, first_path, batch_size, sums, r_store, u_store):
-    n_steps = config.n_steps
-    dt = config.dt
-    # one Generator for the batch, re-keyed to path i before its draws;
-    # a run longer than one chunk saves each path's state between chunks
-    gen = philox_generator(config.seed, first_path)
-    states = [None] * batch_size
-    rows = slice(first_path, first_path + batch_size)
-    y = step.reset(batch_size)
-    y_prev = np.zeros_like(y)
-    qv_run = np.zeros(batch_size)
-    # None until a row diverges: the sums then skip the mask
-    alive = None
-    k = 0
-    while k < n_steps:
-        chunk = min(_STEP_CHUNK, n_steps - k)
-        dgam = np.empty((batch_size, chunk, noise.n_gains))
-        dw = np.empty((batch_size, chunk, noise.n_drive))
-        for i in range(batch_size):
-            gen.bit_generator.state = (
-                states[i] if k else _philox_state(config.seed, first_path + i)
-            )
-            dgam[i], dw[i] = draw_increment_chunk(noise, dt, chunk, gen)
-            if k + chunk < n_steps:
-                states[i] = gen.bit_generator.state
-        for j in range(chunk):
-            if k > 0:
-                dy = y - y_prev
-                qv_run += np.einsum("pj,pj->p", dy, dy)
-            _record_time(sums, k, y, alive, qv_run)
-            r, u, y_next, bad = step(k, y, dgam[:, j], dw[:, j])
-            u2 = np.einsum("pj,pj->p", u, u)
-            sums.sum_u2[k] += _masked(u2, alive).sum() / dt
-            if r_store is not None:
-                live = None if alive is None else alive[:, None]
-                r_store[rows, k] = _masked(r, live)
-                u_store[rows, k] = _masked(u, live)
-            if alive is None and bad.any():
-                alive = np.ones(batch_size, dtype=bool)
-            if alive is not None:
-                alive &= ~bad
-                dead = ~alive
-                y_next[dead] = 0.0
-                step.kill(dead, k)
-            y_prev = y
-            y = y_next
-            k += 1
-    dy = y - y_prev
-    qv_run += np.einsum("pj,pj->p", dy, dy)
-    _record_time(sums, n_steps, y, alive, qv_run)
-
-
 def run_ensemble(
     sys: LtiSystem,
     noise: NoiseSpec,
@@ -543,6 +520,7 @@ def run_ensemble(
     midpoint = config.interpretation == "stratonovich"
     n_steps = config.n_steps
     n_paths = config.n_paths
+    dt = config.dt
     step = _STEPS[config.scheme](sys, config, midpoint)
     r_store = u_store = None
     if record_increments:
@@ -555,19 +533,46 @@ def run_ensemble(
         r_store = np.zeros((n_paths, n_steps, sys.n_in))
         u_store = np.zeros((n_paths, n_steps, sys.n_in))
 
-    sums = _EnsembleSums(n_steps)
-    for first in range(0, n_paths, _PATH_BATCH):
-        size = min(_PATH_BATCH, n_paths - first)
-        _run_batch(step, noise, config, first, size, sums, r_store, u_store)
+    sum_y2 = np.zeros(n_steps + 1)
+    sum_y4 = np.zeros(n_steps + 1)
+    sum_qv = np.zeros(n_steps + 1)
+    sum_u2 = np.zeros(n_steps)
+    alive_count = np.zeros(n_steps + 1, dtype=np.int64)
+    # batches add their per-time sums in path order; a frozen row adds
+    # exact zeros, so only the live count and its running QV need care.
+    # Overflow at the divergence-detection step is expected data.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_paths, _PATH_BATCH):
+            size = min(_PATH_BATCH, n_paths - first)
+            rows = slice(first, first + size)
+            chunks = _batch_increments(noise, config, first, size)
+            y = np.zeros((size, sys.n_out))
+            qv_run = np.zeros(size)
+            live = size
+            alive_count[0] += size
+            for k, r, u, y_next, died in _advance(step, chunks, size):
+                sum_u2[k] += np.einsum("pj,pj->p", u, u).sum() / dt
+                if r_store is not None:
+                    r_store[rows, k] = r
+                    u_store[rows, k] = u
+                dy = y_next - y
+                qv_run += np.einsum("pj,pj->p", dy, dy)
+                if died is not None:
+                    live -= np.count_nonzero(died)
+                    qv_run[died] = 0.0
+                s = np.einsum("pj,pj->p", y_next, y_next)
+                sum_y2[k + 1] += s.sum()
+                sum_y4[k + 1] += (s * s).sum()
+                sum_qv[k + 1] += qv_run.sum()
+                alive_count[k + 1] += live
+                y = y_next
 
-    count = sums.alive_count.astype(float)
+    count = alive_count.astype(float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        var_y = np.where(count > 0, sums.sum_y2 / count, np.nan)
-        qv_y = np.where(count > 0, sums.sum_qv / count, np.nan)
-        var_u = np.where(
-            count[:-1] > 0, sums.sum_u2 / count[:-1], np.nan
-        )
-        spread = sums.sum_y4 - sums.sum_y2**2 / count
+        var_y = np.where(count > 0, sum_y2 / count, np.nan)
+        qv_y = np.where(count > 0, sum_qv / count, np.nan)
+        var_u = np.where(count[:-1] > 0, sum_u2 / count[:-1], np.nan)
+        spread = sum_y4 - sum_y2**2 / count
         stderr_y = np.where(
             count > 1,
             np.sqrt(np.maximum(spread, 0.0) / (count - 1.0)) / np.sqrt(count),
@@ -586,31 +591,13 @@ def run_ensemble(
         stderr_y=stderr_y,
         var_u_increments=var_u,
         qv_y=qv_y,
-        n_diverged=n_paths - sums.alive_count,
+        n_diverged=n_paths - alive_count,
         n_paths=n_paths,
         config=config,
         diagnostics=diagnostics,
         r_paths=r_store,
         u_paths=u_store,
     )
-
-
-def quadratic_variation(y: np.ndarray) -> np.ndarray:
-    """Running sum of squared increments of a sampled path.
-
-    Returns the sequence <y>(t_k), k = 0..K, with <y>(0) = 0.  For a
-    Wiener path this estimates cov-trace times t; for differentiable
-    paths it vanishes like O(dt).
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2:
-        raise DimensionMismatch(f"path must be 1-d or 2-d, got shape {y.shape}")
-    dy = np.diff(y, axis=0)
-    out = np.zeros(y.shape[0])
-    np.cumsum(np.einsum("kj,kj->k", dy, dy), out=out[1:])
-    return out
 
 
 @dataclass(frozen=True)

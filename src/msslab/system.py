@@ -177,33 +177,6 @@ def matrix_exponential_grid(a, dt: float, count: int) -> np.ndarray:
     return out
 
 
-def _sample_index(sys: LtiSystem, t: float) -> int:
-    ratio = t / sys.sample_dt
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
-        raise OffGrid(
-            f"t={t} is not on the sample grid with dt={sys.sample_dt}"
-        )
-    if k < 0 or k >= sys.samples.shape[0]:
-        raise OffGrid(
-            f"t={t} is outside the sampled horizon "
-            f"[0, {(sys.samples.shape[0] - 1) * sys.sample_dt}]"
-        )
-    return k
-
-
-def impulse_response(sys: LtiSystem, t: float) -> np.ndarray:
-    """M(t) for a single time t >= 0.
-
-    Sampled systems are looked up exactly on their grid; no interpolation.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if sys.is_state_space:
-        return sys.c @ matrix_exponential(sys.a, t) @ sys.b
-    return sys.samples[_sample_index(sys, t)].copy()
-
-
 def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
     """M(k*dt) for k = 0 .. count-1 as a (count, n_out, n_in) stack.
 

@@ -21,7 +21,6 @@ from msslab import (
     BadGrid,
     DimensionMismatch,
     NonFinite,
-    NotMss,
     SingularFixedPoint,
 )
 
@@ -78,8 +77,6 @@ class TestVerdicts:
         assert_allclose(v.rho, 1.25, atol=1e-12)
         assert not v.mss
         assert v.steady_state is None
-        with pytest.raises(NotMss):
-            msslab.steady_state_covariances(scalar_block(), noise(2.5), "ito")
 
     def test_steady_state_fixed_point_mimo(self):
         rng = np.random.default_rng(301)

@@ -30,7 +30,6 @@ from msslab.simulate import (
     _loop_norm,
     increment_independence_test,
     open_loop_terminal_samples,
-    quadratic_variation,
 )
 from msslab.system import impulse_response_grid
 
@@ -292,19 +291,6 @@ class TestQuadraticVariationHelper:
         qv_u = float(np.sum(path.u_increments**2))
         assert abs(qv_u - 1.0) < 4.0 * math.sqrt(2.0 * 1.0 * 1e-4)
 
-    def test_smooth_path_vanishes(self):
-        t = np.linspace(0.0, 1.0, 1001)
-        qv = quadratic_variation(np.sin(t))
-        assert qv[0] == 0.0
-        assert np.all(np.diff(qv) >= 0.0)
-        assert qv[-1] < 2e-3
-
-    def test_shapes(self):
-        qv = quadratic_variation(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
-        assert_allclose(qv, [0.0, 2.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            quadratic_variation(np.zeros((2, 2, 2)))
-
 
 class TestDivergence:
     BLOCK = msslab.make_state_space([[200.0]], [[1.0]], [[1.0]])
@@ -371,8 +357,8 @@ class TestDivergence:
         # A = 0 and a large gain: |1 + dgamma| spreads the paths, so they
         # cross the limit at scattered steps and some outlast the horizon.
         # A limit of 1e3 keeps the survivors small enough that a dead row's
-        # drive increment would show in the sums.  The ensemble sums switch
-        # from unmasked to masked at the first death
+        # drive increment would show in the sums.  A dying row is frozen at
+        # rest, so it must add nothing to the sums from its death on
         monkeypatch.setattr(msslab.simulate, "OVERFLOW_LIMIT", 1e3)
         block = msslab.make_state_space([[0.0]], [[1.0]], [[1.0]])
         cfg = SimulationConfig(dt=0.1, horizon=50.0, n_paths=12, seed=4, scheme=scheme)
@@ -392,7 +378,10 @@ class TestDivergence:
         assert_array_equal(ens.n_diverged, cfg.n_paths - count)
         y2 = np.where(alive, np.stack([p.y[:, 0] ** 2 for p in paths]), 0.0)
         assert_allclose(ens.var_y, y2.sum(axis=0) / count, rtol=1e-12)
-        qv = np.stack([quadratic_variation(p.y) for p in paths])
+        # running quadratic variation, zero at t_0
+        qv = np.zeros((cfg.n_paths, cfg.n_steps + 1))
+        dy2 = np.stack([np.diff(p.y[:, 0]) ** 2 for p in paths])
+        qv[:, 1:] = np.cumsum(dy2, axis=1)
         assert_allclose(
             ens.qv_y, np.where(alive, qv, 0.0).sum(axis=0) / count, rtol=1e-12
         )
@@ -402,6 +391,77 @@ class TestDivergence:
             np.where(alive[:, :-1], u2, 0.0).sum(axis=0) / count[:-1],
             rtol=1e-12,
         )
+
+    def test_dead_path_never_reaches_the_midpoint_solve(self):
+        # the path overflows at step 39; a dead row fed its own gain
+        # increments would reach the midpoint solve and be refused there
+        # (loop spectral radius 1.04 at t = 4.9)
+        block = msslab.make_state_space([[1e5]], [[1.0]], [[1.0]])
+        cfg = SimulationConfig(
+            dt=0.1, horizon=20.0, n_paths=1, seed=3, interpretation="stratonovich"
+        )
+        path = msslab.simulate_path(block, noise(10.0), cfg)
+        ens = msslab.run_ensemble(block, noise(10.0), cfg)
+        assert path.diverged_at == 39
+        assert ens.n_diverged[-1] == 1
+        assert np.argmax(ens.n_diverged > 0) == path.diverged_at
+
+    def test_each_death_step_kills_once(self, monkeypatch):
+        # all 1024 paths die, at 89 distinct steps between 1367 and 1478;
+        # the dying rows of each such step are zeroed once, not again at
+        # every later step
+        step_class = _STEPS["convolution_sum"]
+        kill, calls = step_class.kill, []
+
+        def counted(step, dead, k):
+            calls.append(k)
+            kill(step, dead, k)
+
+        monkeypatch.setattr(step_class, "kill", counted)
+        cfg = SimulationConfig(
+            dt=0.01, horizon=20.0, n_paths=1024, seed=5, scheme="convolution_sum"
+        )
+        ens = msslab.run_ensemble(self.DIVERGING["convolution_sum"], noise(1.0), cfg)
+        assert ens.n_diverged[-1] == cfg.n_paths
+        # a death at step k first counts at t_{k+1}
+        death_steps = np.flatnonzero(np.diff(ens.n_diverged))
+        assert len(death_steps) == 89
+        assert_array_equal(calls, death_steps)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_path_leaves_supplied_increments_unchanged(self, scheme):
+        cfg = replace(self.CFG, scheme=scheme)
+        gen = philox_generator(cfg.seed, 0)
+        dgam, dw = _draw_path_increments(noise(1.0), cfg.dt, cfg.n_steps, gen)
+        kept = dgam.copy(), dw.copy()
+        path = msslab.simulate_path(
+            self.DIVERGING[scheme], noise(1.0), cfg, increments=(dgam, dw)
+        )
+        assert path.diverged
+        assert_array_equal(dgam, kept[0])
+        assert_array_equal(dw, kept[1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_frozen_rows_stay_at_rest_in_later_draw_chunks(self, scheme, monkeypatch):
+        # five of six paths die inside the first draw chunk and one runs
+        # on into the second, whose fresh increments must be zeroed for
+        # the dead rows too: their recorded r and u stay 0 as in
+        # simulate_path
+        monkeypatch.setattr(msslab.simulate, "OVERFLOW_LIMIT", 1e3)
+        block = msslab.make_state_space([[0.0]], [[1.0]], [[1.0]])
+        cfg = SimulationConfig(
+            dt=0.01, horizon=(_STEP_CHUNK + 100) * 0.01, n_paths=6, seed=6,
+            interpretation="stratonovich", scheme=scheme,
+        )
+        ens = msslab.run_ensemble(block, noise(10.0), cfg, record_increments=True)
+        ends = []
+        for i in range(cfg.n_paths):
+            path = msslab.simulate_path(block, noise(10.0), cfg, path_index=i)
+            ends.append(path.diverged_at)
+            assert_array_equal(ens.r_paths[i], path.r_increments)
+            assert_array_equal(ens.u_paths[i], path.u_increments)
+        assert ends.count(None) == 1
+        assert max(k for k in ends if k is not None) < _STEP_CHUNK
 
     def test_stable_run_has_no_divergence(self):
         cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=20, seed=0)

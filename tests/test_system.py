@@ -125,22 +125,6 @@ class TestConstructors:
 
 
 class TestImpulseResponse:
-    def test_state_space_pointwise(self):
-        sys = msslab.make_state_space([[-2.0]], [[1.0]], [[3.0]])
-        for t in (0.0, 0.5, 2.0):
-            assert_allclose(
-                msslab.impulse_response(sys, t), [[3.0 * math.exp(-2.0 * t)]]
-            )
-
-    def test_sampled_lookup_and_off_grid(self):
-        samples = np.arange(4.0).reshape(4, 1, 1)
-        sys = msslab.make_sampled(0.5, samples)
-        assert_allclose(msslab.impulse_response(sys, 1.0), [[2.0]])
-        with pytest.raises(OffGrid):
-            msslab.impulse_response(sys, 0.3)
-        with pytest.raises(OffGrid):
-            msslab.impulse_response(sys, 5.0)
-
     def test_grid_state_space(self):
         sys = msslab.make_state_space([[-1.0]], [[1.0]], [[1.0]])
         grid = msslab.impulse_response_grid(sys, 0.25, 5)
