@@ -27,6 +27,7 @@ from .loopgain import (
     SpectralResult,
     _check_interpretation,
     _check_loop_noise,
+    _integral,
     covariance_sandwich,
     equivalent_ito_system,
     lgo_matrix_apply,
@@ -56,6 +57,8 @@ class AnalysisOptions:
     def __post_init__(self):
         if not self.power_tol > 0:
             raise ValueError(f"power_tol must be positive, got {self.power_tol}")
+        max_iter = _integral("power_max_iter", self.power_max_iter)
+        object.__setattr__(self, "power_max_iter", max_iter)
         if self.power_max_iter < 1:
             raise ValueError(
                 f"power_max_iter must be >= 1, got {self.power_max_iter}"
@@ -374,8 +377,10 @@ def covariance_trajectory(
     """
     _check_interpretation(interpretation)
     _check_loop_noise(sys, noise)
-    if dt <= 0 or horizon <= 0:
-        raise BadGrid(f"need positive dt and horizon, got dt={dt}, horizon={horizon}")
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise BadGrid(
+            f"need positive finite dt and horizon, got dt={dt}, horizon={horizon}"
+        )
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-6 * dt:
         raise BadGrid(

@@ -11,9 +11,9 @@ Four subcommands over a JSON problem config:
 Exit codes: 0 success/MSS/agreement, 3 not MSS, 4 comparison
 disagreement, 64 usage, 65 bad configuration, 66 I/O failure,
 1 any other library error.  Command line flags override config values.
-CSV output uses repr floats (shortest round trip) and is downsampled to
-at most 2000 rows with the final time always kept, so reruns are byte
-identical.
+CSV output uses repr floats (shortest round trip), plain integer counts
+and empty cells for non-finite values, and is downsampled to at most
+2000 rows with the final time always kept, so reruns are byte identical.
 """
 
 from __future__ import annotations
@@ -64,25 +64,26 @@ def _matrix(value) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.atleast_2d(value)]
 
 
-def _downsample_indices(length: int) -> list[int]:
+def _write_csv(path: str, table: dict) -> None:
+    """Write equal-length arrays, keyed by their headers, as CSV columns.
+
+    At most _MAX_CSV_ROWS rows: every stride-th one and always the last.
+    Integers are written as integers, floats by repr, and non-finite
+    values as empty cells.
+    """
+    length = len(next(iter(table.values())))
     stride = -(-length // (_MAX_CSV_ROWS - 1))
-    idx = list(range(0, length, stride))
-    if idx[-1] != length - 1:
-        idx.append(length - 1)
-    return idx
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+    rows = [*range(0, length - 1, stride), length - 1]
+    # tolist() yields Python ints and floats: repr writes an int as an
+    # int and a float as its shortest round trip
+    cells = [
+        [repr(x) if math.isfinite(x) else "" for x in column[rows].tolist()]
+        for column in table.values()
+    ]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(table)
+        writer.writerows(zip(*cells))
 
 
 def _write_report(path: str, report: dict) -> None:
@@ -158,100 +159,59 @@ def _print_verdict(verdict) -> None:
         )
 
 
-def _analysis_options(cfg: ProblemConfig, args) -> AnalysisOptions:
-    options = cfg.analysis
-    overrides = {}
-    if args.power_tol is not None:
-        overrides["power_tol"] = args.power_tol
-    if args.power_max_iter is not None:
-        overrides["power_max_iter"] = args.power_max_iter
-    if getattr(args, "quad_horizon", None) is not None:
-        overrides["quad_horizon"] = args.quad_horizon
-    if getattr(args, "quad_dt", None) is not None:
-        overrides["quad_dt"] = args.quad_dt
-    if overrides:
-        try:
-            options = dataclasses.replace(options, **overrides)
-        except ValueError as err:
-            raise ConfigError("analysis", str(err)) from err
-    return options
-
-
-def _simulation_config(cfg: ProblemConfig, args, need_paths=True) -> SimulationConfig:
-    base = cfg.simulation
-
-    def pick(flag, attr, field):
+def _settings(section: str, cls, values: dict, args):
+    """Build dataclass ``cls`` from config values, where a command line
+    flag named after a field takes the place of its value."""
+    values = dict(values)
+    for field in dataclasses.fields(cls):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            return flag
-        if base is not None:
-            return getattr(base, attr)
-        raise ConfigError(
-            f"simulation.{field}",
-            f"required: set it in the config or pass --{field.replace('_', '-')}",
-        )
-
-    dt = pick(args.dt, "dt", "dt")
-    horizon = pick(args.horizon, "horizon", "horizon")
-    if need_paths:
-        n_paths = pick(args.n_paths, "n_paths", "n_paths")
-        seed = pick(args.seed, "seed", "seed")
-    else:
-        n_paths, seed = 1, 0
-    scheme = args.scheme if args.scheme is not None else (
-        base.scheme if base is not None else "state_space_step"
-    )
-    interpretation = (
-        args.interpretation
-        if getattr(args, "interpretation", None) is not None
-        else cfg.interpretation
-    )
+            values[field.name] = flag
+        elif field.name not in values and field.default is dataclasses.MISSING:
+            raise ConfigError(
+                f"{section}.{field.name}",
+                f"required: set it in the config or pass "
+                f"--{field.name.replace('_', '-')}",
+            )
     try:
-        return SimulationConfig(
-            dt=dt,
-            horizon=horizon,
-            n_paths=n_paths,
-            seed=seed,
-            interpretation=interpretation,
-            scheme=scheme,
-        )
+        return cls(**values)
     except (MsslabError, ValueError) as err:
-        raise ConfigError("simulation", str(err)) from err
+        raise ConfigError(section, str(err)) from err
 
 
-def _cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    interpretation = (
-        args.interpretation if args.interpretation else cfg.interpretation
+def _simulation_config(cfg: ProblemConfig, args) -> SimulationConfig:
+    values = vars(cfg.simulation) if cfg.simulation is not None else {}
+    values = {**values, "interpretation": cfg.interpretation}
+    return _settings("simulation", SimulationConfig, values, args)
+
+
+def _trajectory(cfg: ProblemConfig, sim_config: SimulationConfig):
+    return covariance_trajectory(
+        cfg.system,
+        cfg.noise,
+        sim_config.interpretation,
+        horizon=sim_config.horizon,
+        dt=sim_config.dt,
     )
-    verdict = analyze(
-        cfg.system, cfg.noise, interpretation, _analysis_options(cfg, args)
-    )
+
+
+def _cmd_analyze(cfg: ProblemConfig, args):
+    options = _settings("analysis", AnalysisOptions, vars(cfg.analysis), args)
+    verdict = analyze(cfg.system, cfg.noise, cfg.interpretation, options)
     _print_verdict(verdict)
-    if args.out:
-        _write_report(args.out, _analysis_report(verdict))
-    return EXIT_OK if verdict.mss else EXIT_NOT_MSS
+    code = EXIT_OK if verdict.mss else EXIT_NOT_MSS
+    return code, _analysis_report(verdict), None
 
 
-def _predicted_trace(cfg, sim_config):
-    try:
-        predicted = covariance_trajectory(
-            cfg.system,
-            cfg.noise,
-            sim_config.interpretation,
-            horizon=sim_config.horizon,
-            dt=sim_config.dt,
-        )
-    except NonFinite:
-        return None
-    return predicted.trace_y
-
-
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_simulate(cfg: ProblemConfig, args):
     sim_config = _simulation_config(cfg, args)
     ensemble = run_ensemble(cfg.system, cfg.noise, sim_config)
-    predicted = _predicted_trace(cfg, sim_config)
-    terminal_pred = None if predicted is None else _num(predicted[-1])
+    try:
+        predicted = _trajectory(cfg, sim_config).trace_y
+    except NonFinite:
+        # no prediction: empty cells and a null in the report
+        predicted = np.full(sim_config.n_steps + 1, np.nan)
+    terminal_pred = _num(predicted[-1])
     print(
         f"simulated {sim_config.n_paths} paths, {sim_config.n_steps} steps "
         f"of dt={sim_config.dt!r} ({sim_config.interpretation}, "
@@ -264,61 +224,34 @@ def _cmd_simulate(args) -> int:
         f"+- {err_terminal!r}, predicted {terminal_pred!r}, "
         f"{int(ensemble.n_diverged[-1])} diverged"
     )
-    if args.csv:
-        idx = _downsample_indices(len(ensemble.times))
-        rows = [
-            [
-                _cell(ensemble.times[k]),
-                _cell(ensemble.var_y[k] if math.isfinite(ensemble.var_y[k]) else None),
-                _cell(
-                    ensemble.stderr_y[k]
-                    if math.isfinite(ensemble.stderr_y[k])
-                    else None
-                ),
-                _cell(None if predicted is None else predicted[k]),
-                str(int(ensemble.n_diverged[k])),
-            ]
-            for k in idx
-        ]
-        _write_csv(
-            args.csv,
-            ["t", "var_y_empirical", "stderr_y", "var_y_predicted", "n_diverged"],
-            rows,
-        )
-    if args.out:
-        report = {
-            "kind": "simulation",
-            "interpretation": sim_config.interpretation,
-            "scheme": sim_config.scheme,
-            "dt": sim_config.dt,
-            "horizon": sim_config.horizon,
-            "n_paths": sim_config.n_paths,
-            "seed": sim_config.seed,
-            "terminal_time": float(ensemble.times[-1]),
-            "terminal_var_y": var_terminal,
-            "terminal_stderr_y": err_terminal,
-            "terminal_n_diverged": int(ensemble.n_diverged[-1]),
-            "predicted_terminal_var_y": terminal_pred,
-            "csv": args.csv,
-        }
-        _write_report(args.out, report)
-    return EXIT_OK
+    table = {
+        "t": ensemble.times,
+        "var_y_empirical": ensemble.var_y,
+        "stderr_y": ensemble.stderr_y,
+        "var_y_predicted": predicted,
+        "n_diverged": ensemble.n_diverged,
+    }
+    report = {
+        "kind": "simulation",
+        "interpretation": sim_config.interpretation,
+        "scheme": sim_config.scheme,
+        "dt": sim_config.dt,
+        "horizon": sim_config.horizon,
+        "n_paths": sim_config.n_paths,
+        "seed": sim_config.seed,
+        "terminal_time": float(ensemble.times[-1]),
+        "terminal_var_y": var_terminal,
+        "terminal_stderr_y": err_terminal,
+        "terminal_n_diverged": int(ensemble.n_diverged[-1]),
+        "predicted_terminal_var_y": terminal_pred,
+        "csv": args.csv,
+    }
+    return EXIT_OK, report, table
 
 
-def _cmd_trajectory(args) -> int:
-    cfg = load_config(args.config)
-    sim_config = _simulation_config(cfg, args, need_paths=False)
-    try:
-        traj = covariance_trajectory(
-            cfg.system,
-            cfg.noise,
-            sim_config.interpretation,
-            horizon=sim_config.horizon,
-            dt=sim_config.dt,
-        )
-    except NonFinite as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+def _cmd_trajectory(cfg: ProblemConfig, args):
+    sim_config = _simulation_config(cfg, args)
+    traj = _trajectory(cfg, sim_config)
     trace_u = traj.trace_u
     trace_r = np.trace(traj.r, axis1=1, axis2=2)
     trace_y = traj.trace_y
@@ -330,36 +263,22 @@ def _cmd_trajectory(args) -> int:
         f"terminal traces: u={float(trace_u[-1])!r} r={float(trace_r[-1])!r} "
         f"y={float(trace_y[-1])!r}"
     )
-    if args.csv:
-        idx = _downsample_indices(len(traj.times))
-        rows = [
-            [
-                _cell(traj.times[k]),
-                _cell(trace_u[k]),
-                _cell(trace_r[k]),
-                _cell(trace_y[k]),
-            ]
-            for k in idx
-        ]
-        _write_csv(args.csv, ["t", "trace_u", "trace_r", "trace_y"], rows)
-    if args.out:
-        report = {
-            "kind": "trajectory",
-            "interpretation": sim_config.interpretation,
-            "dt": sim_config.dt,
-            "horizon": sim_config.horizon,
-            "terminal_time": float(traj.times[-1]),
-            "terminal_trace_u": _num(trace_u[-1]),
-            "terminal_trace_r": _num(trace_r[-1]),
-            "terminal_trace_y": _num(trace_y[-1]),
-            "csv": args.csv,
-        }
-        _write_report(args.out, report)
-    return EXIT_OK
+    table = {"t": traj.times, "trace_u": trace_u, "trace_r": trace_r, "trace_y": trace_y}
+    report = {
+        "kind": "trajectory",
+        "interpretation": sim_config.interpretation,
+        "dt": sim_config.dt,
+        "horizon": sim_config.horizon,
+        "terminal_time": float(traj.times[-1]),
+        "terminal_trace_u": _num(trace_u[-1]),
+        "terminal_trace_r": _num(trace_r[-1]),
+        "terminal_trace_y": _num(trace_y[-1]),
+        "csv": args.csv,
+    }
+    return EXIT_OK, report, table
 
 
-def _cmd_compare(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_compare(cfg: ProblemConfig, args):
     sim_config = _simulation_config(cfg, args)
     verdict_ito = analyze(cfg.system, cfg.noise, "ito", cfg.analysis)
     verdict_strat = analyze(cfg.system, cfg.noise, "stratonovich", cfg.analysis)
@@ -400,31 +319,34 @@ def _cmd_compare(args) -> int:
         f"agreement: |diff|={fmt(_num(difference))} "
         f"tol={fmt(_num(tolerance))} -> {'agree' if agree else 'DISAGREE'}"
     )
-    if args.out:
-        report = {
-            "kind": "comparison",
-            "dt": sim_config.dt,
-            "horizon": sim_config.horizon,
-            "n_paths": sim_config.n_paths,
-            "seed": sim_config.seed,
-            "scheme": sim_config.scheme,
-            "analysis_ito": _verdict_summary(verdict_ito),
-            "analysis_stratonovich": _verdict_summary(verdict_strat),
-            "simulation_ito_equivalent": _ensemble_summary(ens_ito),
-            "simulation_stratonovich": _ensemble_summary(ens_strat),
-            "agreement": {
-                "difference": _num(difference),
-                "tolerance": _num(tolerance),
-                "agree": agree,
-            },
-        }
-        _write_report(args.out, report)
-    return EXIT_OK if agree else EXIT_DISAGREE
+    report = {
+        "kind": "comparison",
+        "dt": sim_config.dt,
+        "horizon": sim_config.horizon,
+        "n_paths": sim_config.n_paths,
+        "seed": sim_config.seed,
+        "scheme": sim_config.scheme,
+        "analysis_ito": _verdict_summary(verdict_ito),
+        "analysis_stratonovich": _verdict_summary(verdict_strat),
+        "simulation_ito_equivalent": _ensemble_summary(ens_ito),
+        "simulation_stratonovich": _ensemble_summary(ens_strat),
+        "agreement": {
+            "difference": _num(difference),
+            "tolerance": _num(tolerance),
+            "agree": agree,
+        },
+    }
+    return (EXIT_OK if agree else EXIT_DISAGREE), report, None
 
 
-def _add_common(parser) -> None:
+def _subcommand(sub, name: str, handler, summary: str, interpretation=True):
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("config", help="path to a problem config (JSON)")
     parser.add_argument("--out", metavar="PATH", help="write a JSON report")
+    if interpretation:
+        parser.add_argument("--interpretation", choices=["ito", "stratonovich"])
+    parser.set_defaults(handler=handler, interpretation=None, csv=None)
+    return parser
 
 
 def _add_grid_flags(parser, with_paths=True) -> None:
@@ -433,11 +355,14 @@ def _add_grid_flags(parser, with_paths=True) -> None:
     if with_paths:
         parser.add_argument("--n-paths", type=int, help="ensemble size")
         parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument(
-        "--scheme",
-        choices=["state_space_step", "convolution_sum"],
-        help="discretization scheme",
-    )
+        parser.add_argument(
+            "--scheme",
+            choices=["state_space_step", "convolution_sum"],
+            help="discretization scheme",
+        )
+    else:
+        # the recursion draws no paths; these only complete its grid check
+        parser.set_defaults(n_paths=1, seed=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,54 +375,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="stability verdict")
-    _add_common(p_analyze)
-    p_analyze.add_argument(
-        "--interpretation", choices=["ito", "stratonovich"], default=None
-    )
+    p_analyze = _subcommand(sub, "analyze", _cmd_analyze, "stability verdict")
     p_analyze.add_argument("--power-tol", type=float, default=None)
     p_analyze.add_argument("--power-max-iter", type=int, default=None)
     p_analyze.add_argument("--quad-horizon", type=float, default=None)
     p_analyze.add_argument("--quad-dt", type=float, default=None)
-    p_analyze.set_defaults(handler=_cmd_analyze)
 
-    p_simulate = sub.add_parser("simulate", help="Monte Carlo ensemble")
-    _add_common(p_simulate)
-    p_simulate.add_argument(
-        "--interpretation", choices=["ito", "stratonovich"], default=None
-    )
+    p_simulate = _subcommand(sub, "simulate", _cmd_simulate, "Monte Carlo ensemble")
     _add_grid_flags(p_simulate)
     p_simulate.add_argument("--csv", metavar="PATH", help="write a CSV table")
-    p_simulate.set_defaults(handler=_cmd_simulate)
 
-    p_traj = sub.add_parser("trajectory", help="covariance recursion")
-    _add_common(p_traj)
-    p_traj.add_argument(
-        "--interpretation", choices=["ito", "stratonovich"], default=None
-    )
+    p_traj = _subcommand(sub, "trajectory", _cmd_trajectory, "covariance recursion")
     _add_grid_flags(p_traj, with_paths=False)
     p_traj.add_argument("--csv", metavar="PATH", help="write a CSV table")
-    p_traj.set_defaults(handler=_cmd_trajectory)
 
-    p_compare = sub.add_parser(
-        "compare", help="both interpretations, analysis and paired simulation"
+    p_compare = _subcommand(
+        sub,
+        "compare",
+        _cmd_compare,
+        "both interpretations, analysis and paired simulation",
+        interpretation=False,
     )
-    _add_common(p_compare)
     _add_grid_flags(p_compare)
-    p_compare.set_defaults(handler=_cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, which prints its summary and returns its exit
+    code, report and table; write the CSV, then the report; map every
+    msslab and I/O error to its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RealizationRequired as err:
+        cfg = load_config(args.config)
+        if args.interpretation is not None:
+            cfg = dataclasses.replace(cfg, interpretation=args.interpretation)
+        code, report, table = args.handler(cfg, args)
+        if args.csv:
+            _write_csv(args.csv, table)
+        if args.out:
+            _write_report(args.out, report)
+        return code
+    except (ConfigError, RealizationRequired) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -119,7 +119,10 @@ def parse_config(data: dict) -> ProblemConfig:
             f"has {system.n_in}",
         )
     interpretation = data.get("interpretation", "ito")
-    analysis = AnalysisOptions(**data.get("analysis", {}))
+    try:
+        analysis = AnalysisOptions(**data.get("analysis", {}))
+    except ValueError as err:
+        raise ConfigError("analysis", str(err)) from err
     simulation = None
     if "simulation" in data:
         sim = data["simulation"]

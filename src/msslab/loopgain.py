@@ -29,6 +29,7 @@ power iteration and dense eigenvalues.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,17 @@ def _check_interpretation(interpretation: str) -> str:
             f"interpretation must be one of {INTERPRETATIONS}, got {interpretation!r}"
         )
     return interpretation
+
+
+def _integral(name: str, value) -> int:
+    """value as a Python int.  An integral float, as JSON may write an
+    integer, is taken; any other non-integer is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_loop(sys: LtiSystem, gamma_cov: np.ndarray) -> np.ndarray:

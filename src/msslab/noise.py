@@ -12,6 +12,7 @@ safe to parallelize without threading mutable generator state around.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def validate_noise(gamma_cov, w_cov) -> NoiseSpec:
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+    return np.array([np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
 
 
 def philox_generator(seed: int, stream: int) -> np.random.Generator:

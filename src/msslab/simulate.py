@@ -57,7 +57,7 @@ from .errors import (
     NonPositiveDt,
     RealizationRequired,
 )
-from .loopgain import _check_interpretation, _check_loop_noise
+from .loopgain import _check_interpretation, _check_loop_noise, _integral
 from .noise import NoiseSpec, _philox_state, draw_increment_chunk, philox_generator
 from .system import LtiSystem, _hankel_block, _lag_hankel, impulse_response_grid
 
@@ -91,6 +91,8 @@ class SimulationConfig:
                 f"horizon {self.horizon} is not a whole number of steps "
                 f"of dt={self.dt}"
             )
+        for name in ("n_paths", "seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         _check_interpretation(self.interpretation)

@@ -220,6 +220,12 @@ class TestVerdicts:
             AnalysisOptions(quad_dt=-1.0)
 
 
+    def test_power_max_iter_takes_integral_floats(self):
+        assert type(AnalysisOptions(power_max_iter=100.0).power_max_iter) is int
+        with pytest.raises(ValueError, match="must be an integer"):
+            AnalysisOptions(power_max_iter=2.5)
+
+
 def coupled_loop():
     """16 states, 4 channels: Hurwitz A with spectral abscissa -1, dense B
     and C (C B not diagonal), a correlated gain covariance Gamma."""
@@ -338,6 +344,11 @@ class TestCovarianceTrajectory:
             msslab.covariance_trajectory(
                 scalar_block(), noise(1.0), "ito", horizon=1.0, dt=-0.1
             )
+        for horizon, dt in ((1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1)):
+            with pytest.raises(BadGrid):
+                msslab.covariance_trajectory(
+                    scalar_block(), noise(1.0), "ito", horizon=horizon, dt=dt
+                )
 
     def test_overflow_reported_with_time(self):
         sys = msslab.make_state_space([[50.0]], [[1.0]], [[1.0]])

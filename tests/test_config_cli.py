@@ -149,6 +149,12 @@ class TestParseConfig:
         assert exc.value.field_path == "simulation"
 
 
+    def test_nan_analysis_value_is_config_error(self):
+        # Python's json reads NaN, and NaN passes exclusiveMinimum
+        with pytest.raises(ConfigError, match="analysis: power_tol must be positive"):
+            parse_config(scalar_data(analysis={"power_tol": math.nan}))
+
+
 class TestSampledSchemaCheck:
     """A config with many samples is schema-checked on two of them; every
     outcome must still be the full walk's."""
@@ -363,6 +369,37 @@ class TestCliSimulate:
         assert len(lines) - 1 <= 2000
         assert lines[-1].startswith("5.0,")
 
+    def test_one_path_has_no_stderr_and_integer_counts(self, tmp_path):
+        rc, _, csv_path = self.run(tmp_path, "--n-paths", "1")
+        assert rc == 0
+        rows = [
+            line.split(",")
+            for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert len(rows) == 51
+        assert all(row[2] == "" for row in rows)
+        assert all(row[4] == "0" for row in rows)
+
+    def test_overflowing_prediction_leaves_cells_empty(self, tmp_path):
+        data = scalar_data()
+        data["system"] = {"a": [[100.0]], "b": [[1.0]], "c": [[1.0]]}
+        data["noise"] = {"gamma_cov": [[0.0]], "w_cov": [[1.0]]}
+        out, csv_path = tmp_path / "report.json", tmp_path / "table.csv"
+        argv = ["simulate", write_config(tmp_path, data), "--n-paths", "4"]
+        argv += ["--seed", "1", "--dt", "0.01", "--horizon", "5.0"]
+        assert main([*argv, "--out", str(out), "--csv", str(csv_path)]) == 0
+        rows = [
+            line.split(",")
+            for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert all(row[3] == "" for row in rows)
+        # the paths stay below the overflow limit, but their variance
+        # does not: its standard error is infinite, so the cell is empty
+        assert rows[-1][1] != "" and rows[-1][2] == ""
+        report = json.loads(out.read_text(encoding="utf-8"))
+        validate_report(report)
+        assert report["predicted_terminal_var_y"] is None
+
     def test_missing_grid_settings_are_config_errors(self, tmp_path, capsys):
         path = write_config(tmp_path, scalar_data())
         rc = main(["simulate", path])
@@ -389,6 +426,19 @@ class TestCliTrajectory:
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,trace_u,trace_r,trace_y"
         assert len(lines) == 202
+
+    def test_scheme_flag_is_usage_error(self):
+        # the recursion has no discretization scheme to choose
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "trajectory",
+                    str(CONFIGS / "scalar_ito.json"),
+                    "--scheme",
+                    "convolution_sum",
+                ]
+            )
+        assert exc.value.code == 64
 
     def test_overflow_is_reported_not_crashed(self, tmp_path, capsys):
         data = scalar_data()
@@ -457,6 +507,34 @@ class TestCliSampled:
             "config error: Stratonovich conversion needs a state-space realization"
             in capsys.readouterr().err
         )
+
+
+class TestCliIntegerFields:
+    """JSON schema's integer admits 20.0; such a config runs as its twin
+    written with the integer."""
+
+    @pytest.mark.parametrize(
+        "command, section, field, value",
+        [
+            ("simulate", "simulation", "n_paths", 20),
+            ("simulate", "simulation", "seed", 42),
+            ("analyze", "analysis", "power_max_iter", 100),
+        ],
+    )
+    def test_integral_float_runs_as_the_int(
+        self, tmp_path, capsys, command, section, field, value
+    ):
+        results = []
+        for given in (value, float(value)):
+            data = scalar_data(
+                simulation={"dt": 0.01, "horizon": 0.5, "n_paths": 20, "seed": 42}
+            )
+            data.setdefault(section, {})[field] = given
+            out = tmp_path / f"{given!r}.json"
+            rc = main([command, write_config(tmp_path, data), "--out", str(out)])
+            results.append((rc, capsys.readouterr(), out.read_bytes()))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
 
 
 class TestCliErrors:

@@ -56,6 +56,12 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_numpy_integer_seeds_key_like_ints(self):
+        for seed in (np.int64(-1), np.int64(3), np.uint64(2**64 - 1)):
+            a = msslab.philox_generator(seed, 5).standard_normal(8)
+            b = msslab.philox_generator(int(seed), 5).standard_normal(8)
+            assert_array_equal(a, b)
+
     def test_chunk_reproducible(self):
         spec = msslab.validate_noise([[1.0, 0.5], [0.5, 1.0]], np.eye(2))
         gen = msslab.philox_generator(9, 0)

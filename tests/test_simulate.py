@@ -86,6 +86,19 @@ class TestConfig:
             SimulationConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, scheme="exact")
 
 
+    def test_integral_counts_are_stored_as_ints(self):
+        cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=20.0, seed=np.int64(-3))
+        assert (cfg.n_paths, cfg.seed) == (20, -3)
+        assert type(cfg.n_paths) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize(
+        "counts", [{"n_paths": 2.5}, {"seed": 1.5}, {"seed": "7"}, {"n_paths": math.inf}]
+    )
+    def test_non_integral_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimulationConfig(dt=0.1, horizon=1.0, **{"n_paths": 1, "seed": 0, **counts})
+
+
 class TestPathDeterminism:
     CFG = SimulationConfig(dt=0.01, horizon=1.0, n_paths=4, seed=42)
 
@@ -100,6 +113,13 @@ class TestPathDeterminism:
         p0 = msslab.simulate_path(scalar_block(), noise(0.5), self.CFG, path_index=0)
         p1 = msslab.simulate_path(scalar_block(), noise(0.5), self.CFG, path_index=1)
         assert np.abs(p0.y - p1.y).max() > 1e-3
+
+    def test_numpy_integer_seed_replays_the_int_seed(self):
+        want = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG, True)
+        cfg = replace(self.CFG, seed=np.int64(42))
+        got = msslab.run_ensemble(scalar_block(), noise(0.5), cfg, True)
+        for name in ("var_y", "stderr_y", "qv_y", "r_paths", "u_paths"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_named_entry_points_match_config_dispatch(self):
         ito = msslab.simulate_path_ito(scalar_block(), noise(0.5), self.CFG)
