@@ -14,22 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadGrid,
-    NonFinite,
-    NotHurwitz,
-    SingularFixedPoint,
-)
+from .errors import NonFinite, NotHurwitz, SingularFixedPoint
 from .loopgain import (
     LoopGainHandle,
     LyapunovBackend,
     QuadratureBackend,
     SpectralResult,
     _check_interpretation,
-    _check_loop_noise,
+    _check_loop,
     _integral,
+    _ito_block,
     covariance_sandwich,
-    equivalent_ito_system,
     lgo_matrix_apply,
     make_lgo,
     spectral_radius_power,
@@ -38,6 +33,7 @@ from .noise import NoiseSpec
 from .system import (
     _BLOCK,
     LtiSystem,
+    _grid_steps,
     _hankel_block,
     _lag_hankel,
     impulse_response_grid,
@@ -51,8 +47,6 @@ class AnalysisOptions:
 
     power_tol: float = 1e-10
     power_max_iter: int = 10000
-    quad_horizon: float | None = None
-    quad_dt: float | None = None
 
     def __post_init__(self):
         if not self.power_tol > 0:
@@ -63,10 +57,6 @@ class AnalysisOptions:
             raise ValueError(
                 f"power_max_iter must be >= 1, got {self.power_max_iter}"
             )
-        for name in ("quad_horizon", "quad_dt"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +93,6 @@ class MssVerdict:
     @property
     def worst_case_cov(self) -> np.ndarray | None:
         return self.spectral.eigen_matrix if self.spectral is not None else None
-
-
-def _truncated_h2_squared(block: LtiSystem) -> float:
-    kernel = block.samples
-    weights = np.full(kernel.shape[0], block.sample_dt)
-    weights[0] = weights[-1] = 0.5 * block.sample_dt
-    return float(np.einsum("k,kab,kab->", weights, kernel, kernel))
 
 
 # A steady-state solve is kept when its normwise backward error
@@ -156,35 +139,33 @@ def analyze(
 ) -> MssVerdict:
     """Full mean-square stability verdict for the closed loop.
 
-    Both conditions are always reported.  When the equivalent block is
-    not Hurwitz (infinite H2), rho still comes from quadrature over a
-    finite horizon so the report shows how far past the boundary the
-    loop sits; the "rho_truncated_horizon" flag marks it.  Sampled
-    blocks (Ito only) get both numbers from their sample grid, flagged
-    "h2_truncated_grid", since finiteness cannot be decided from finitely
-    many samples; that verdict is best-effort by construction.
+    Both conditions are always reported.  A non-Hurwitz equivalent
+    block has infinite H2, which decides; its rho, flagged
+    "rho_truncated_horizon", comes from quadrature over 40 decay
+    constants and is set by that horizon, not by the loop.  Sampled
+    blocks (Ito only) get both numbers from all their samples, flagged
+    "h2_truncated_grid", since finiteness cannot be decided from
+    finitely many samples; that verdict is best-effort by construction.
     """
     options = options or AnalysisOptions()
     _check_interpretation(interpretation)
-    _check_loop_noise(sys, noise)
+    _check_loop(sys, noise)
     flags: list[str] = []
 
-    quad = QuadratureBackend(horizon=options.quad_horizon, dt=options.quad_dt)
     if sys.is_state_space:
         try:
             handle = make_lgo(sys, noise.gamma_cov, interpretation, LyapunovBackend())
         except NotHurwitz:
-            handle = make_lgo(sys, noise.gamma_cov, interpretation, quad)
+            handle = make_lgo(sys, noise.gamma_cov, interpretation, QuadratureBackend())
             h2_squared = math.inf
             flags.append("rho_truncated_horizon")
         else:
             h2_squared = handle.h2_squared
-        h2_finite = math.isfinite(h2_squared)
     else:
-        handle = make_lgo(sys, noise.gamma_cov, interpretation, quad)
-        h2_squared = _truncated_h2_squared(handle.block)
-        h2_finite = True
+        handle = make_lgo(sys, noise.gamma_cov, interpretation, QuadratureBackend())
+        h2_squared = handle.h2_squared
         flags.extend(("h2_truncated_grid", "rho_sample_grid"))
+    h2_finite = math.isfinite(h2_squared)
     spectral = spectral_radius_power(
         handle, tol=options.power_tol, max_iter=options.power_max_iter
     )
@@ -376,20 +357,9 @@ def covariance_trajectory(
     Raises NonFinite naming the first step whose rates overflow.
     """
     _check_interpretation(interpretation)
-    _check_loop_noise(sys, noise)
-    if not (0 < dt < math.inf and 0 < horizon < math.inf):
-        raise BadGrid(
-            f"need positive finite dt and horizon, got dt={dt}, horizon={horizon}"
-        )
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-6 * dt:
-        raise BadGrid(
-            f"horizon {horizon} is not a whole number of steps of dt={dt}"
-        )
-    if interpretation == "stratonovich":
-        block = equivalent_ito_system(sys, noise.gamma_cov)
-    else:
-        block = sys
+    _check_loop(sys, noise)
+    n_steps = _grid_steps(dt, horizon)
+    block = _ito_block(sys, noise.gamma_cov, interpretation)
     n = noise.n_gains
     w_cov = noise.w_cov
     gamma = noise.gamma_cov

@@ -378,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = _subcommand(sub, "analyze", _cmd_analyze, "stability verdict")
     p_analyze.add_argument("--power-tol", type=float, default=None)
     p_analyze.add_argument("--power-max-iter", type=int, default=None)
-    p_analyze.add_argument("--quad-horizon", type=float, default=None)
-    p_analyze.add_argument("--quad-dt", type=float, default=None)
 
     p_simulate = _subcommand(sub, "simulate", _cmd_simulate, "Monte Carlo ensemble")
     _add_grid_flags(p_simulate)

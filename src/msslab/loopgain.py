@@ -44,6 +44,7 @@ from .errors import (
 )
 from .noise import NoiseSpec, _psd_factor
 from .system import (
+    _MAX_STEPS,
     LtiSystem,
     _lyapunov_sign_stack,
     impulse_response_grid,
@@ -76,39 +77,31 @@ def _integral(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_loop(sys: LtiSystem, gamma_cov: np.ndarray) -> np.ndarray:
-    gamma_cov, _ = _psd_factor(gamma_cov, "gamma_cov")
-    n = gamma_cov.shape[0]
+def _check_loop(sys: LtiSystem, noise) -> np.ndarray:
+    """The gain covariance of a loop around sys, from a NoiseSpec or a
+    bare gamma_cov (validated here).  The block must be square and each
+    covariance sized to its channels; a mismatch names the wrong one."""
+    if isinstance(noise, NoiseSpec):
+        gamma_cov, w_cov = noise.gamma_cov, noise.w_cov
+    else:
+        gamma_cov, _ = _psd_factor(noise, "gamma_cov")
+        w_cov = None
     if sys.n_out != sys.n_in:
         raise DimensionMismatch(
             f"feedback loop needs a square block, got {sys.n_out} outputs "
             f"and {sys.n_in} inputs"
         )
-    if sys.n_in != n:
+    if len(gamma_cov) != sys.n_in:
         raise DimensionMismatch(
-            f"gamma_cov is {n}x{n} but the block has {sys.n_in} loop channels"
-        )
-    return gamma_cov
-
-
-def _check_loop_noise(sys: LtiSystem, noise: NoiseSpec) -> None:
-    """Square block, with both noise covariances sized to its channels;
-    a mismatch names the covariance that is wrong."""
-    if sys.n_in != sys.n_out:
-        raise DimensionMismatch(
-            f"feedback loop needs a square block, got {sys.n_out} outputs "
-            f"and {sys.n_in} inputs"
-        )
-    if noise.n_gains != sys.n_in:
-        raise DimensionMismatch(
-            f"gamma_cov is {noise.n_gains}x{noise.n_gains} but the block "
+            f"gamma_cov is {len(gamma_cov)}x{len(gamma_cov)} but the block "
             f"has {sys.n_in} loop channels"
         )
-    if noise.n_drive != sys.n_in:
+    if w_cov is not None and len(w_cov) != sys.n_in:
         raise DimensionMismatch(
-            f"w_cov is {noise.n_drive}x{noise.n_drive} but the additive "
+            f"w_cov is {len(w_cov)}x{len(w_cov)} but the additive "
             f"drive shares the {sys.n_in}-channel loop input"
         )
+    return gamma_cov
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,10 @@ class QuadratureBackend:
 
 def stratonovich_correction_gain(sys: LtiSystem, gamma_cov) -> np.ndarray:
     """Feedback gain (M(0) o gamma_cov)/2 absorbed by the conversion."""
-    gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
+    return _correction_gain(sys, _check_loop(sys, gamma_cov))
+
+
+def _correction_gain(sys: LtiSystem, gamma_cov: np.ndarray) -> np.ndarray:
     m0 = sys.c @ sys.b if sys.is_state_space else sys.samples[0]
     return 0.5 * (m0 * gamma_cov)
 
@@ -143,29 +139,50 @@ def equivalent_ito_system(sys: LtiSystem, gamma_cov) -> LtiSystem:
     the drift: (A + B G C, B, C) with G = (M(0) o gamma_cov)/2.  When
     M(0) = CB = 0 the conversion is the identity.
     """
-    if sys.is_state_space:
-        gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
-    return _equivalent_block(sys, gamma_cov)
+    return _ito_block(sys, _check_loop(sys, gamma_cov), "stratonovich")
 
 
-def _equivalent_block(sys: LtiSystem, gamma_cov: np.ndarray) -> LtiSystem:
-    """equivalent_ito_system for a gamma_cov that _check_loop has passed."""
+def _ito_block(sys: LtiSystem, gamma_cov: np.ndarray, interpretation: str) -> LtiSystem:
+    """The block whose Ito loop is the loop of sys under interpretation,
+    for a gamma_cov that _check_loop has passed: sys itself under Ito,
+    equivalent_ito_system under Stratonovich."""
+    if interpretation == "ito":
+        return sys
     if not sys.is_state_space:
         raise StratonovichNeedsRealization(
             "Stratonovich conversion needs a state-space realization"
         )
-    gain = 0.5 * ((sys.c @ sys.b) * gamma_cov)
+    gain = _correction_gain(sys, gamma_cov)
     return make_state_space(sys.a + sys.b @ gain @ sys.c, sys.b, sys.c)
 
 
-def _auto_quadrature(block: LtiSystem) -> tuple[float, float]:
-    if block.is_state_space:
-        slowest = float(np.max(np.linalg.eigvals(block.a).real))
-        rate = max(abs(slowest), 1e-3)
-        horizon = DEFAULT_DECAY_EXPONENT / rate
-        return horizon, horizon / DEFAULT_QUAD_NODES
-    horizon = (block.samples.shape[0] - 1) * block.sample_dt
-    return horizon, block.sample_dt
+def _quadrature_grid(block: LtiSystem, backend: QuadratureBackend):
+    """(count, dt) of the trapezoid rule: the backend's horizon and dt
+    where set, else a sampled kernel's stored grid, or 40 decay constants
+    of a realization's slowest mode in 40000 steps.  BadQuadrature unless
+    both are positive and finite, with 2 to _MAX_STEPS steps."""
+    horizon, dt = backend.horizon, backend.dt
+    if horizon is None:
+        if block.is_state_space:
+            slowest = float(np.max(np.linalg.eigvals(block.a).real))
+            horizon = DEFAULT_DECAY_EXPONENT / max(abs(slowest), 1e-3)
+        else:
+            horizon = (block.samples.shape[0] - 1) * block.sample_dt
+    if dt is None:
+        dt = horizon / DEFAULT_QUAD_NODES if block.is_state_space else block.sample_dt
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise BadQuadrature(
+            f"quadrature needs positive finite horizon and dt, got "
+            f"horizon={horizon}, dt={dt}"
+        )
+    if not horizon / dt <= _MAX_STEPS:
+        raise BadQuadrature(
+            f"quadrature horizon {horizon} holds too many steps of dt={dt}"
+        )
+    count = round(horizon / dt)
+    if count < 2:
+        raise BadQuadrature(f"quadrature grid has {count} steps; need at least 2")
+    return count, dt
 
 
 def _lyapunov_matrix(block: LtiSystem) -> np.ndarray:
@@ -235,30 +252,12 @@ def make_lgo(
     residual check.
     """
     _check_interpretation(interpretation)
-    gamma_cov = _check_loop(sys, np.asarray(gamma_cov, dtype=float))
+    gamma_cov = _check_loop(sys, gamma_cov)
+    block = _ito_block(sys, gamma_cov, interpretation)
     if backend is None:
         backend = LyapunovBackend()
-    if interpretation == "stratonovich":
-        block = _equivalent_block(sys, gamma_cov)
-    else:
-        block = sys
     if isinstance(backend, QuadratureBackend):
-        horizon, dt = backend.horizon, backend.dt
-        auto_horizon, auto_dt = _auto_quadrature(block)
-        if horizon is None:
-            horizon = auto_horizon
-        if dt is None:
-            dt = horizon / DEFAULT_QUAD_NODES if block.is_state_space else auto_dt
-        if dt <= 0 or horizon <= 0:
-            raise BadQuadrature(
-                f"quadrature needs positive horizon and dt, got "
-                f"horizon={horizon}, dt={dt}"
-            )
-        count = int(round(horizon / dt))
-        if count < 2:
-            raise BadQuadrature(
-                f"quadrature grid has {count} steps; need at least 2"
-            )
+        count, dt = _quadrature_grid(block, backend)
         kernel = impulse_response_grid(block, dt, count + 1)
         weights = np.full(count + 1, dt)
         weights[0] = weights[-1] = 0.5 * dt

@@ -22,8 +22,10 @@ The drive and the open-loop convolution need no rule: only the feedback
 product is interpretation-sensitive.
 
 Two schemes: the state-space step above, and the convolution sum
-y_N = sum_{k<N} M(t_N - t_k) u_k (works for sampled kernels and doubles
-as an oracle for the recursion).  The sum runs in blocks of 64 steps:
+y_N = sum_{k<N} M(t_N - t_k) u_k, which also works for sampled kernels.
+They are different discretisations, I + A dt against samples of
+e^{A t}, so on the same increments they agree to O(dt), not to
+rounding.  The sum runs in blocks of 64 steps:
 one matrix product per block brings in all earlier inputs, and each
 step adds only the block's own, so a path still costs O(N^2) in all but
 pays its history once per block, not once per step.  Each scheme is one
@@ -50,16 +52,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadGrid,
     DimensionMismatch,
     InsufficientPaths,
     MidpointNoConvergence,
     NonPositiveDt,
     RealizationRequired,
 )
-from .loopgain import _check_interpretation, _check_loop_noise, _integral
+from .loopgain import _check_interpretation, _check_loop, _integral
 from .noise import NoiseSpec, _philox_state, draw_increment_chunk, philox_generator
-from .system import LtiSystem, _hankel_block, _lag_hankel, impulse_response_grid
+from .system import (
+    LtiSystem,
+    _grid_steps,
+    _hankel_block,
+    _lag_hankel,
+    impulse_response_grid,
+)
 
 SCHEMES = ("state_space_step", "convolution_sum")
 
@@ -83,14 +90,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise NonPositiveDt(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.horizon) or self.horizon <= 0:
-            raise BadGrid(f"horizon must be positive, got {self.horizon}")
-        steps = round(self.horizon / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.horizon) > 1e-6 * self.dt:
-            raise BadGrid(
-                f"horizon {self.horizon} is not a whole number of steps "
-                f"of dt={self.dt}"
-            )
+        _grid_steps(self.dt, self.horizon)
         for name in ("n_paths", "seed"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.n_paths < 1:
@@ -103,7 +103,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.horizon / self.dt)
+        return _grid_steps(self.dt, self.horizon)
 
     @property
     def times(self) -> np.ndarray:
@@ -448,7 +448,7 @@ def _advance(step, chunks, batch_size: int):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_path(sys, noise, config, path_index, midpoint, increments):
-    _check_loop_noise(sys, noise)
+    _check_loop(sys, noise)
     n_steps = config.n_steps
     if increments is None:
         gen = philox_generator(config.seed, path_index)
@@ -518,7 +518,7 @@ def run_ensemble(
     matrix-matrix against a row-vector product), and the statistics do
     not depend on how the paths are batched.
     """
-    _check_loop_noise(sys, noise)
+    _check_loop(sys, noise)
     midpoint = config.interpretation == "stratonovich"
     n_steps = config.n_steps
     n_paths = config.n_paths

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadGrid,
     DimensionMismatch,
     NonFinite,
     NonPositiveDt,
@@ -200,6 +201,30 @@ def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
             f"{(sys.samples.shape[0] - 1) * sys.sample_dt}"
         )
     return sys.samples[:: stride][:count].copy()
+
+
+# The most steps or nodes a grid may have: its length must index an array.
+_MAX_STEPS = np.iinfo(np.intp).max - 1
+
+
+def _grid_steps(dt: float, horizon: float) -> int:
+    """The number of dt steps that make up horizon.
+
+    Raises BadGrid unless dt and horizon are positive and finite, the
+    count fits _MAX_STEPS and horizon is a whole number of steps.
+    """
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise BadGrid(
+            f"need positive finite dt and horizon, got dt={dt}, horizon={horizon}"
+        )
+    if not horizon / dt <= _MAX_STEPS:
+        raise BadGrid(f"horizon {horizon} holds too many steps of dt={dt}")
+    steps = round(horizon / dt)
+    if steps < 1 or abs(steps * dt - horizon) > 1e-6 * dt:
+        raise BadGrid(
+            f"horizon {horizon} is not a whole number of steps of dt={dt}"
+        )
+    return steps
 
 
 # Steps per block of the blocked convolution sums (path simulation and

@@ -206,18 +206,38 @@ class TestVerdicts:
         assert_allclose(v.rho, 0.5, rtol=1e-4)
         assert v.mss
 
+    @pytest.mark.parametrize("loop", ["scalar", "coupled"])
+    def test_stratonovich_is_the_equivalent_ito_loop(self, loop):
+        if loop == "scalar":
+            sys, spec = scalar_block(), noise(0.5)
+        else:
+            sys, gamma = coupled_loop()
+            spec = msslab.validate_noise(gamma, np.eye(4))
+        direct = msslab.analyze(sys, spec, "stratonovich")
+        equivalent = msslab.equivalent_ito_system(sys, spec.gamma_cov)
+        routed = msslab.analyze(equivalent, spec, "ito")
+        assert direct.mss and routed.mss
+        assert direct.rho == routed.rho
+        assert direct.h2_squared == routed.h2_squared
+        for name in ("u_bar", "r_bar", "y_bar"):
+            assert_array_equal(
+                getattr(direct.steady_state, name), getattr(routed.steady_state, name)
+            )
+
     def test_dimension_checks(self):
-        spec = msslab.validate_noise(np.eye(2), np.eye(2))
-        with pytest.raises(DimensionMismatch):
-            msslab.analyze(scalar_block(), spec, "ito")
+        # the message names the covariance sized wrong
+        for gamma, w, name in (
+            (2, 2, "gamma_cov"), (2, 1, "gamma_cov"), (1, 2, "w_cov")
+        ):
+            spec = msslab.validate_noise(np.eye(gamma), np.eye(w))
+            with pytest.raises(DimensionMismatch, match=name):
+                msslab.analyze(scalar_block(), spec, "ito")
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
             AnalysisOptions(power_tol=0.0)
         with pytest.raises(ValueError):
             AnalysisOptions(power_max_iter=0)
-        with pytest.raises(ValueError):
-            AnalysisOptions(quad_dt=-1.0)
 
 
     def test_power_max_iter_takes_integral_floats(self):
@@ -344,7 +364,9 @@ class TestCovarianceTrajectory:
             msslab.covariance_trajectory(
                 scalar_block(), noise(1.0), "ito", horizon=1.0, dt=-0.1
             )
-        for horizon, dt in ((1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1)):
+        for horizon, dt in (
+            (1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1e300, 1e-10)
+        ):
             with pytest.raises(BadGrid):
                 msslab.covariance_trajectory(
                     scalar_block(), noise(1.0), "ito", horizon=horizon, dt=dt

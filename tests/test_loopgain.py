@@ -275,13 +275,17 @@ class TestBackendErrors:
             msslab.apply_lgo(msslab.make_lgo(sys, [[1.0]], "ito"), [[1.0]])
 
     def test_quadrature_needs_two_nodes(self):
-        with pytest.raises(BadQuadrature):
-            msslab.make_lgo(
-                scalar_block(),
-                [[1.0]],
-                "ito",
-                QuadratureBackend(horizon=1.0, dt=2.0),
-            )
+        unstable = msslab.make_state_space([[0.5]], [[1.0]], [[1.0]])
+        # too few nodes, a horizon with no node count, and more nodes
+        # than an array can hold
+        for sys, backend in (
+            (scalar_block(), QuadratureBackend(horizon=1.0, dt=2.0)),
+            (unstable, QuadratureBackend(horizon=np.inf)),
+            (unstable, QuadratureBackend(horizon=np.nan)),
+            (unstable, QuadratureBackend(dt=1e-300)),
+        ):
+            with pytest.raises(BadQuadrature):
+                msslab.make_lgo(sys, [[1.0]], "ito", backend)
 
     def test_unknown_interpretation(self):
         with pytest.raises(ValueError):

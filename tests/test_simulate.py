@@ -74,6 +74,9 @@ class TestConfig:
         # 1.0 is not a whole number of 0.3 steps
         with pytest.raises(BadGrid):
             SimulationConfig(dt=0.3, horizon=1.0, n_paths=1, seed=0)
+        # horizon / dt overflows a float
+        with pytest.raises(BadGrid):
+            SimulationConfig(dt=1e-10, horizon=1e300, n_paths=1, seed=0)
 
     def test_bad_counts_and_names(self):
         with pytest.raises(ValueError):

@@ -84,6 +84,7 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("analyze.strat_as_ito", ["analyze", STRAT, "--interpretation", "ito", *_OUT]),
         ("analyze.power_flags", ["analyze", COUPLED, "--power-tol", "1e-6", "--power-max-iter", "5", *_OUT]),
         ("analyze.power_max_iter_1", ["analyze", COUPLED, "--power-max-iter", "1", *_OUT]),
+        ("analyze.nonhurwitz", ["analyze", "$TMP/nonhurwitz.json", *_OUT]),
         ("analyze.quad_flags", ["analyze", "$TMP/nonhurwitz.json", "--quad-horizon", "20", "--quad-dt", "0.01", *_OUT]),
         ("analyze.delay_quad_flags", ["analyze", DELAY, "--quad-horizon", "10", *_OUT]),
         ("simulate.one_path", ["simulate", ITO, "--n-paths", "1", "--dt", "0.01", "--horizon", "1.0", *_OUT, *_CSV]),
@@ -117,6 +118,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("error.nan_dt", ["trajectory", ITO, "--dt", "nan"]),
         ("error.ragged_grid", ["simulate", ITO, "--dt", "0.01", "--horizon", "0.015"]),
         ("error.zero_paths", ["simulate", ITO, "--n-paths", "0"]),
+        ("error.huge_grid_trajectory", ["trajectory", ITO, "--horizon", "1e300", "--dt", "1e-10"]),
+        ("error.huge_grid_simulate", ["simulate", ITO, "--horizon", "1e300", "--dt", "1e-10"]),
         ("error.power_tol", ["analyze", ITO, "--power-tol", "-1.0"]),
         ("error.quad_dt", ["analyze", ITO, "--quad-dt", "0"]),
         ("error.sampled_compare", ["compare", DELAY, "--n-paths", "4"]),
