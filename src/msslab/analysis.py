@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotHurwitz, SingularFixedPoint
+from .errors import BadGrid, NonFinite, NotHurwitz, SingularFixedPoint
 from .loopgain import (
     LoopGainHandle,
     LyapunovBackend,
@@ -32,6 +32,7 @@ from .loopgain import (
 from .noise import NoiseSpec
 from .system import (
     _BLOCK,
+    _MAX_GRID_BYTES,
     LtiSystem,
     _grid_steps,
     _hankel_block,
@@ -74,7 +75,7 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class MssVerdict:
-    """Both stability conditions plus supporting diagnostics.
+    """Both stability conditions plus the numbers that support them.
 
     mss is exactly h2_finite and (rho < 1, strictly).  ``flags`` records
     degraded routes, e.g. quadrature fallbacks for non-Hurwitz or
@@ -154,15 +155,15 @@ def analyze(
 
     if sys.is_state_space:
         try:
-            handle = make_lgo(sys, noise.gamma_cov, interpretation, LyapunovBackend())
+            handle = make_lgo(sys, noise, interpretation, LyapunovBackend())
         except NotHurwitz:
-            handle = make_lgo(sys, noise.gamma_cov, interpretation, QuadratureBackend())
+            handle = make_lgo(sys, noise, interpretation, QuadratureBackend())
             h2_squared = math.inf
             flags.append("rho_truncated_horizon")
         else:
             h2_squared = handle.h2_squared
     else:
-        handle = make_lgo(sys, noise.gamma_cov, interpretation, QuadratureBackend())
+        handle = make_lgo(sys, noise, interpretation, QuadratureBackend())
         h2_squared = handle.h2_squared
         flags.extend(("h2_truncated_grid", "rho_sample_grid"))
     h2_finite = math.isfinite(h2_squared)
@@ -354,13 +355,17 @@ def covariance_trajectory(
     long grids): still O(K p^4) per step, but as one matrix-vector
     product per block.  Both give the same sums up to rounding.
     Stratonovich loops route through the equivalent Ito block first.
-    Raises NonFinite naming the first step whose rates overflow.
+    Raises BadGrid when the three rate arrays would take more than 2 GB,
+    and NonFinite naming the first step whose rates overflow.
     """
     _check_interpretation(interpretation)
     _check_loop(sys, noise)
     n_steps = _grid_steps(dt, horizon)
-    block = _ito_block(sys, noise.gamma_cov, interpretation)
     n = noise.n_gains
+    total = 3 * (n_steps + 1) * n * n * 8
+    if total > _MAX_GRID_BYTES:
+        raise BadGrid(f"trajectory rates for {n_steps} steps need {total / 1e9:.1f} GB")
+    block = _ito_block(sys, noise.gamma_cov, interpretation)
     w_cov = noise.w_cov
     gamma = noise.gamma_cov
     u = np.empty((n_steps + 1, n, n))

@@ -30,6 +30,7 @@ import numpy as np
 from .analysis import AnalysisOptions, analyze, covariance_trajectory
 from .config import ProblemConfig, load_config, validate_report
 from .errors import (
+    BadGrid,
     ConfigError,
     MsslabError,
     NonFinite,
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
         if args.out:
             _write_report(args.out, report)
         return code
-    except (ConfigError, RealizationRequired) as err:
+    except (BadGrid, ConfigError, RealizationRequired) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -25,7 +25,7 @@ from .system import LtiSystem, make_sampled, make_state_space
 _SCHEMA_CACHE: dict[str, dict] = {}
 
 
-def load_schema(name: str) -> dict:
+def _load_schema(name: str) -> dict:
     """Load a shipped schema by name ('problem_config' or 'report')."""
     if name not in _SCHEMA_CACHE:
         text = (
@@ -62,7 +62,7 @@ def _is_matrix(value) -> bool:
 
 
 def _schema_check(data, schema_name: str) -> None:
-    validator = jsonschema.Draft202012Validator(load_schema(schema_name))
+    validator = jsonschema.Draft202012Validator(_load_schema(schema_name))
     system = data.get("system") if isinstance(data, dict) else None
     samples = system.get("samples") if isinstance(system, dict) else None
     if (

@@ -22,7 +22,7 @@ Hurwitz realization) solves A X_cd + X_cd A^T + b_c b_d^T = 0 for all
 p^2 channel pairs at once by the scaled matrix-sign iteration, O(n^3 p^2)
 with a residual check, and reads column c + d p of S as vec(C X_cd C^T).
 Trapezoid quadrature over a finite horizon also covers sampled kernels
-and non-Hurwitz diagnostics.  The spectral radius has two routes over S:
+and non-Hurwitz blocks.  The spectral radius has two routes over S:
 power iteration and dense eigenvalues.
 """
 
@@ -222,7 +222,6 @@ class LoopGainHandle:
 
     block: LtiSystem
     gamma_cov: np.ndarray
-    interpretation: str
     backend: LyapunovBackend | QuadratureBackend
     matrix: np.ndarray
 
@@ -247,9 +246,10 @@ def make_lgo(
 ) -> LoopGainHandle:
     """Prepare the loop gain operator: build and cache its matrix.
 
-    The Lyapunov backend raises NotHurwitz for a non-Hurwitz equivalent
-    block and SingularKroneckerSum when its Lyapunov solve fails the
-    residual check.
+    gamma_cov is a gain covariance, validated here, or a checked
+    NoiseSpec.  The Lyapunov backend raises NotHurwitz for a
+    non-Hurwitz equivalent block and SingularKroneckerSum when its
+    Lyapunov solve fails the residual check.
     """
     _check_interpretation(interpretation)
     gamma_cov = _check_loop(sys, gamma_cov)
@@ -275,7 +275,6 @@ def make_lgo(
     return LoopGainHandle(
         block=block,
         gamma_cov=gamma_cov,
-        interpretation=interpretation,
         backend=backend,
         matrix=matrix,
     )

@@ -47,7 +47,7 @@ batches of paths and add each batch's per-time sums in batch order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .errors import (
 from .loopgain import _check_interpretation, _check_loop, _integral
 from .noise import NoiseSpec, _philox_state, draw_increment_chunk, philox_generator
 from .system import (
+    _MAX_GRID_BYTES,
     LtiSystem,
     _grid_steps,
     _hankel_block,
@@ -482,23 +483,18 @@ class SimulationEnsemble:
     """Per-time ensemble statistics over the surviving paths.
 
     var_y[k] is the mean squared output norm at t_k, stderr_y its
-    sampling error (NaN when fewer than two paths survive; flagged in
-    diagnostics for n_paths = 1).  var_u_increments[k] is the mean
-    squared input increment norm per unit time at step k.  qv_y[k] is
-    the mean running quadratic variation of y.  n_diverged[k] counts
-    paths flagged divergent by t_k; they are excluded from the
-    statistics from their divergence time on.
+    sampling error (NaN when fewer than two paths survive, so always
+    for n_paths = 1).  n_diverged[k] counts paths flagged divergent by
+    t_k; they are excluded from the statistics from their divergence
+    time on.  r_paths and u_paths are the recorded increments, if any.
     """
 
     times: np.ndarray
     var_y: np.ndarray
     stderr_y: np.ndarray
-    var_u_increments: np.ndarray
-    qv_y: np.ndarray
     n_diverged: np.ndarray
     n_paths: int
     config: SimulationConfig
-    diagnostics: dict = field(default_factory=dict)
     r_paths: np.ndarray | None = None
     u_paths: np.ndarray | None = None
 
@@ -516,18 +512,18 @@ def run_ensemble(
     to ``simulate_path(..., path_index=i)`` with the same config (for full
     B or C under the state-space scheme, up to the rounding of a
     matrix-matrix against a row-vector product), and the statistics do
-    not depend on how the paths are batched.
+    not depend on how the paths are batched.  record_increments keeps
+    every path's r and u increments; over 2 GB of them is a ValueError.
     """
     _check_loop(sys, noise)
     midpoint = config.interpretation == "stratonovich"
     n_steps = config.n_steps
     n_paths = config.n_paths
-    dt = config.dt
     step = _STEPS[config.scheme](sys, config, midpoint)
     r_store = u_store = None
     if record_increments:
         total = 2 * n_paths * n_steps * sys.n_in * 8
-        if total > 2_000_000_000:
+        if total > _MAX_GRID_BYTES:
             raise ValueError(
                 f"recording increments for this run needs {total / 1e9:.1f} GB; "
                 "shrink n_paths or the grid"
@@ -537,66 +533,44 @@ def run_ensemble(
 
     sum_y2 = np.zeros(n_steps + 1)
     sum_y4 = np.zeros(n_steps + 1)
-    sum_qv = np.zeros(n_steps + 1)
-    sum_u2 = np.zeros(n_steps)
     alive_count = np.zeros(n_steps + 1, dtype=np.int64)
     # batches add their per-time sums in path order; a frozen row adds
-    # exact zeros, so only the live count and its running QV need care.
-    # Overflow at the divergence-detection step is expected data.
+    # exact zeros, so only the live count needs care.  Overflow at the
+    # divergence-detection step is expected data.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_paths, _PATH_BATCH):
             size = min(_PATH_BATCH, n_paths - first)
             rows = slice(first, first + size)
             chunks = _batch_increments(noise, config, first, size)
-            y = np.zeros((size, sys.n_out))
-            qv_run = np.zeros(size)
             live = size
             alive_count[0] += size
             for k, r, u, y_next, died in _advance(step, chunks, size):
-                sum_u2[k] += np.einsum("pj,pj->p", u, u).sum() / dt
                 if r_store is not None:
                     r_store[rows, k] = r
                     u_store[rows, k] = u
-                dy = y_next - y
-                qv_run += np.einsum("pj,pj->p", dy, dy)
                 if died is not None:
                     live -= np.count_nonzero(died)
-                    qv_run[died] = 0.0
                 s = np.einsum("pj,pj->p", y_next, y_next)
                 sum_y2[k + 1] += s.sum()
                 sum_y4[k + 1] += (s * s).sum()
-                sum_qv[k + 1] += qv_run.sum()
                 alive_count[k + 1] += live
-                y = y_next
 
     count = alive_count.astype(float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         var_y = np.where(count > 0, sum_y2 / count, np.nan)
-        qv_y = np.where(count > 0, sum_qv / count, np.nan)
-        var_u = np.where(count[:-1] > 0, sum_u2 / count[:-1], np.nan)
         spread = sum_y4 - sum_y2**2 / count
         stderr_y = np.where(
             count > 1,
             np.sqrt(np.maximum(spread, 0.0) / (count - 1.0)) / np.sqrt(count),
             np.nan,
         )
-    diagnostics = {
-        "stderr_defined": n_paths > 1,
-        "increments_recorded": record_increments,
-    }
-    if record_increments and n_paths >= 100 and n_steps >= 2:
-        report = increment_independence_test(r_store, max_lag=min(10, n_steps - 1))
-        diagnostics["r_max_abs_corr"] = report.max_abs_corr
     return SimulationEnsemble(
         times=config.times,
         var_y=var_y,
         stderr_y=stderr_y,
-        var_u_increments=var_u,
-        qv_y=qv_y,
         n_diverged=n_paths - alive_count,
         n_paths=n_paths,
         config=config,
-        diagnostics=diagnostics,
         r_paths=r_store,
         u_paths=u_store,
     )

@@ -24,7 +24,6 @@ from .errors import (
     OffGrid,
     RealizationRequired,
     SingularKroneckerSum,
-    SingularSystem,
     TooFewSamples,
 )
 
@@ -156,38 +155,29 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     return total
 
 
-def matrix_exponential_grid(a, dt: float, count: int) -> np.ndarray:
-    """Stack of e^{A k dt} for k = 0 .. count-1, built by binary doubling."""
-    a = _as_matrix(a, "A")
+def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
+    """M(k*dt) for k = 0 .. count-1 as a (count, n_out, n_in) stack.
+
+    A realization doubles the stack of e^{A k dt} in binary steps.  For
+    sampled systems dt must be an integer multiple of the sample spacing
+    and the horizon must not overrun the stored samples.
+    """
     if dt <= 0:
         raise NonPositiveDt(f"dt must be positive, got {dt}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n = a.shape[0]
-    out = np.empty((count, n, n))
-    out[0] = np.eye(n)
-    if count == 1:
-        return out
-    out[1] = matrix_exponential(a, dt)
-    filled = 2
-    while filled < count:
-        take = min(filled, count - filled)
-        pivot = out[filled - 1] @ out[1]
-        out[filled : filled + take] = out[:take] @ pivot
-        filled += take
-    return out
-
-
-def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
-    """M(k*dt) for k = 0 .. count-1 as a (count, n_out, n_in) stack.
-
-    For sampled systems dt must be an integer multiple of the sample
-    spacing and the horizon must not overrun the stored samples.
-    """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be positive, got {dt}")
     if sys.is_state_space:
-        stack = matrix_exponential_grid(sys.a, dt, count)
+        n = sys.n_state
+        stack = np.empty((count, n, n))
+        stack[0] = np.eye(n)
+        if count > 1:
+            stack[1] = matrix_exponential(sys.a, dt)
+        filled = min(count, 2)
+        while filled < count:
+            take = min(filled, count - filled)
+            pivot = stack[filled - 1] @ stack[1]
+            stack[filled : filled + take] = stack[:take] @ pivot
+            filled += take
         return np.matmul(sys.c, stack @ sys.b)
     ratio = dt / sys.sample_dt
     stride = int(round(ratio))
@@ -205,6 +195,10 @@ def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
 
 # The most steps or nodes a grid may have: its length must index an array.
 _MAX_STEPS = np.iinfo(np.intp).max - 1
+
+# The most bytes the arrays kept for a whole grid may take: a run's
+# recorded increments, or a covariance trajectory's three rate arrays.
+_MAX_GRID_BYTES = 2_000_000_000
 
 
 def _grid_steps(dt: float, horizon: float) -> int:
@@ -305,28 +299,6 @@ def _lyapunov_sign_stack(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"exceeds {LYAPUNOV_RESIDUAL_TOL:.0e}"
         )
     return x
-
-
-def kron_lyapunov_solve(a, q) -> np.ndarray:
-    """Solve A X + X A^T + Q = 0 through the Kronecker-sum linear system.
-
-    The dense O(n^6) reference solver, kept as the test oracle for the
-    sign iteration that the library itself uses.
-    """
-    a = _as_matrix(a, "A")
-    q = _as_matrix(q, "Q")
-    n = a.shape[0]
-    if q.shape != (n, n):
-        raise DimensionMismatch(f"Q has shape {q.shape}, expected {(n, n)}")
-    eye = np.eye(n)
-    kron_sum = np.kron(eye, a) + np.kron(a, eye)
-    try:
-        vec_x = np.linalg.solve(kron_sum, -q.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Kronecker sum of A is singular: {exc}") from exc
-    if not np.all(np.isfinite(vec_x)):
-        raise SingularSystem("Lyapunov solve produced non-finite values")
-    return vec_x.reshape((n, n), order="F")
 
 
 def h2_norm_squared(sys: LtiSystem) -> float:

@@ -71,6 +71,28 @@ class TestVerdicts:
         assert not v.mss
         assert "rho_truncated_horizon" in v.flags
 
+    def test_validated_noise_is_not_factored_again(self, monkeypatch):
+        # validate_noise has factored both covariances; no verdict route
+        # (Lyapunov, non-Hurwitz quadrature, sampled) factors them again
+        sampled = msslab.make_sampled(0.01, np.exp(-0.01 * np.arange(401)))
+        loops = [
+            (scalar_block(), noise(0.5), "ito"),
+            (scalar_block(), noise(0.5), "stratonovich"),
+            (scalar_block(), noise(3.0), "stratonovich"),
+            (sampled, noise(0.5), "ito"),
+        ]
+        factor, calls = msslab.noise._psd_factor, []
+
+        def counted(cov, name):
+            calls.append(name)
+            return factor(cov, name)
+
+        monkeypatch.setattr(msslab.noise, "_psd_factor", counted)
+        monkeypatch.setattr(msslab.loopgain, "_psd_factor", counted)
+        for sys, spec, interpretation in loops:
+            msslab.analyze(sys, spec, interpretation)
+        assert calls == []
+
     def test_ito_above_threshold(self):
         v = msslab.analyze(scalar_block(), noise(2.5), "ito")
         assert v.h2_finite
@@ -364,8 +386,11 @@ class TestCovarianceTrajectory:
             msslab.covariance_trajectory(
                 scalar_block(), noise(1.0), "ito", horizon=1.0, dt=-0.1
             )
+        # the last grid, 2^40 steps, indexes an array but its rate arrays
+        # would take 26 TB
         for horizon, dt in (
-            (1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1e300, 1e-10)
+            (1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1e300, 1e-10),
+            (2.0**20, 2.0**-20),
         ):
             with pytest.raises(BadGrid):
                 msslab.covariance_trajectory(

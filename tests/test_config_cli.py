@@ -9,7 +9,7 @@ import pytest
 import msslab
 from msslab import ConfigError
 from msslab.cli import main
-from msslab.config import load_config, load_schema, parse_config, validate_report
+from msslab.config import _load_schema, load_config, parse_config, validate_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,7 +171,7 @@ class TestSampledSchemaCheck:
                 del target[path[-1]]
             else:
                 target[path[-1]] = value
-        validator = jsonschema.Draft202012Validator(load_schema("problem_config"))
+        validator = jsonschema.Draft202012Validator(_load_schema("problem_config"))
         errors = list(validator.iter_errors(data))
         assert bool(errors) == (rejected_by == "schema")
         if rejected_by is None:
@@ -210,7 +210,7 @@ class TestSampledSchemaCheck:
 
     def test_schema_matrix_is_what_the_cut_assumes(self):
         # the cut to two samples is exact only for these definitions
-        schema = load_schema("problem_config")
+        schema = _load_schema("problem_config")
         assert schema["$defs"]["matrix"] == {
             "type": "array",
             "minItems": 1,

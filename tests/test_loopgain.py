@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import random_loop, random_psd
+from conftest import kron_lyapunov_solve, random_loop, random_psd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -200,7 +200,7 @@ class TestSpectralRadius:
             for i in range(p):
                 basis = np.zeros((p, p))
                 basis[i, j] = 1.0
-                x = msslab.kron_lyapunov_solve(sys.a, sys.b @ basis @ sys.b.T)
+                x = kron_lyapunov_solve(sys.a, sys.b @ basis @ sys.b.T)
                 column = gamma * (sys.c @ x @ sys.c.T)
                 from_basis[:, i + j * p] = column.flatten(order="F")
         assert_allclose(dense, from_basis, atol=1e-11 * max(1.0, np.abs(dense).max()))
@@ -367,7 +367,7 @@ class TestSignLyapunov:
         assert np.abs(handle.matrix - want).max() <= 1e-10 * np.abs(want).max()
         # H2 read from S, from the single-right-hand-side solve, and dense
         h2 = msslab.h2_norm_squared(handle.block)
-        x = msslab.kron_lyapunov_solve(a, sys.b @ sys.b.T)
+        x = kron_lyapunov_solve(a, sys.b @ sys.b.T)
         h2_dense = np.trace(sys.c @ x @ sys.c.T)
         assert abs(handle.h2_squared - h2) <= 1e-10 * h2
         assert abs(h2 - h2_dense) <= 1e-10 * h2_dense

@@ -121,7 +121,7 @@ class TestPathDeterminism:
         want = msslab.run_ensemble(scalar_block(), noise(0.5), self.CFG, True)
         cfg = replace(self.CFG, seed=np.int64(42))
         got = msslab.run_ensemble(scalar_block(), noise(0.5), cfg, True)
-        for name in ("var_y", "stderr_y", "qv_y", "r_paths", "u_paths"):
+        for name in ("var_y", "stderr_y", "r_paths", "u_paths"):
             assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_named_entry_points_match_config_dispatch(self):
@@ -224,7 +224,6 @@ class TestEnsembleStats:
         se = np.std(ys**2, axis=0, ddof=1) / math.sqrt(7)
         assert_allclose(ens.stderr_y[1:], se[1:], rtol=1e-10)
         assert ens.stderr_y[0] == 0.0
-        assert ens.diagnostics["stderr_defined"]
 
     def test_single_path_ensemble(self):
         cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=1, seed=3)
@@ -232,7 +231,6 @@ class TestEnsembleStats:
         path = msslab.simulate_path(scalar_block(), noise(0.8), cfg, path_index=0)
         assert_allclose(ens.var_y, path.y[:, 0] ** 2, rtol=1e-12)
         assert np.isnan(ens.stderr_y).all()
-        assert not ens.diagnostics["stderr_defined"]
 
     def test_stationary_variance_of_the_euler_chain(self):
         # the driven Euler chain equilibrates at W / (2 - dt - s2), not
@@ -242,28 +240,6 @@ class TestEnsembleStats:
         ens = msslab.run_ensemble(scalar_block(), noise(s2), cfg)
         target = 1.0 / (2.0 - dt - s2)
         assert abs(ens.var_y[-1] - target) < 4.0 * ens.stderr_y[-1]
-
-    def test_quadratic_variation_tracks_injected_power(self):
-        # E<y>(T) for the Euler chain is sum_k (W + s2 v_k) dt + dt^2 v_k
-        # with v_k the exact chain second moment
-        dt, s2 = 0.01, 0.5
-        cfg = SimulationConfig(dt=dt, horizon=5.0, n_paths=2000, seed=5)
-        ens = msslab.run_ensemble(scalar_block(), noise(s2), cfg)
-        v, pred = 0.0, 0.0
-        decay = (1.0 - dt) ** 2 + s2 * dt
-        for _ in range(cfg.n_steps):
-            pred += dt * dt * v + (1.0 + s2 * v) * dt
-            v = decay * v + dt
-        assert abs(ens.qv_y[-1] / pred - 1.0) < 0.03
-
-    def test_input_increment_power(self):
-        # var_u_increments estimates (W + s2 v_k), measured per unit time
-        dt, s2 = 0.05, 0.5
-        cfg = SimulationConfig(dt=dt, horizon=10.0, n_paths=4000, seed=11)
-        ens = msslab.run_ensemble(scalar_block(), noise(s2), cfg)
-        target = 1.0 + s2 / (2.0 - dt - s2)
-        tail = ens.var_u_increments[-50:].mean()
-        assert abs(tail - target) < 0.05 * target
 
 
 class TestBatching:
@@ -394,26 +370,12 @@ class TestDivergence:
         died = ends[ends <= cfg.n_steps]
         assert len(np.unique(died)) >= 3
         assert len(died) < cfg.n_paths
-        # a path counts at t_k for k < diverged_at, so the step that
-        # overflowed (k = diverged_at - 1) still counts for u
+        # a path counts at t_k for k < diverged_at
         alive = np.arange(cfg.n_steps + 1) < ends[:, None]
         count = alive.sum(axis=0)
         assert_array_equal(ens.n_diverged, cfg.n_paths - count)
         y2 = np.where(alive, np.stack([p.y[:, 0] ** 2 for p in paths]), 0.0)
         assert_allclose(ens.var_y, y2.sum(axis=0) / count, rtol=1e-12)
-        # running quadratic variation, zero at t_0
-        qv = np.zeros((cfg.n_paths, cfg.n_steps + 1))
-        dy2 = np.stack([np.diff(p.y[:, 0]) ** 2 for p in paths])
-        qv[:, 1:] = np.cumsum(dy2, axis=1)
-        assert_allclose(
-            ens.qv_y, np.where(alive, qv, 0.0).sum(axis=0) / count, rtol=1e-12
-        )
-        u2 = np.stack([p.u_increments[:, 0] ** 2 for p in paths]) / cfg.dt
-        assert_allclose(
-            ens.var_u_increments,
-            np.where(alive[:, :-1], u2, 0.0).sum(axis=0) / count[:-1],
-            rtol=1e-12,
-        )
 
     def test_dead_path_never_reaches_the_midpoint_solve(self):
         # the path overflows at step 39; a dead row fed its own gain
@@ -790,16 +752,12 @@ class TestRecording:
         ens = msslab.run_ensemble(scalar_block(), noise(0.5), cfg, record_increments=True)
         assert ens.r_paths.shape == (120, 100, 1)
         assert ens.u_paths.shape == (120, 100, 1)
-        assert ens.diagnostics["increments_recorded"]
-        assert "r_max_abs_corr" in ens.diagnostics
-        assert ens.diagnostics["r_max_abs_corr"] < 5.0 / math.sqrt(120)
 
     def test_not_recorded_by_default(self):
         cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=3, seed=2)
         ens = msslab.run_ensemble(scalar_block(), noise(0.5), cfg)
         assert ens.r_paths is None
         assert ens.u_paths is None
-        assert not ens.diagnostics["increments_recorded"]
 
     def test_size_guard(self):
         cfg = SimulationConfig(dt=1e-3, horizon=1.0, n_paths=1_000_000, seed=0)

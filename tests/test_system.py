@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_stable_matrix
+from conftest import kron_lyapunov_solve, random_stable_matrix
 from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
@@ -78,7 +78,9 @@ class TestMatrixExponential:
         rng = np.random.default_rng(103)
         a = rng.standard_normal((3, 3))
         dt = 0.05
-        grid = msslab.matrix_exponential_grid(a, dt, 9)
+        eye = np.eye(3)
+        sys = msslab.make_state_space(a, eye, eye)
+        grid = msslab.impulse_response_grid(sys, dt, 9)
         assert grid.shape == (9, 3, 3)
         for k in range(9):
             assert_allclose(
@@ -150,13 +152,13 @@ class TestLyapunovAndH2:
             a = random_stable_matrix(rng, n)
             q = rng.standard_normal((n, n))
             q = q + q.T
-            x = msslab.kron_lyapunov_solve(a, q)
+            x = kron_lyapunov_solve(a, q)
             residual = a @ x + x @ a.T + q
             assert np.abs(residual).max() <= 1e-9 * max(1.0, np.abs(q).max())
 
     def test_lyapunov_singular(self):
         with pytest.raises(SingularSystem):
-            msslab.kron_lyapunov_solve(np.zeros((1, 1)), np.eye(1))
+            kron_lyapunov_solve(np.zeros((1, 1)), np.eye(1))
 
     def test_h2_scalar_benchmark(self):
         # int_0^inf e^{-2t} dt = 1/2
