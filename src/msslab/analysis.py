@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGrid, NonFinite, NotHurwitz, SingularFixedPoint
+from .errors import NonFinite, NotHurwitz, SingularFixedPoint
 from .loopgain import (
     LoopGainHandle,
     LyapunovBackend,
@@ -32,8 +32,8 @@ from .loopgain import (
 from .noise import NoiseSpec
 from .system import (
     _BLOCK,
-    _MAX_GRID_BYTES,
     LtiSystem,
+    _check_grid_memory,
     _grid_steps,
     _hankel_block,
     _lag_hankel,
@@ -213,9 +213,40 @@ class CovarianceTrajectory:
         return np.trace(self.y, axis1=1, axis2=2)
 
 
-# The most kernel-slab entries one block may hold: the full block of 4
-# channels.  Wider loops get shorter blocks, since the slab grows as p^4.
-_SLAB_ENTRIES = _BLOCK * 4**4
+# The most entries the block map F of _block_map may hold (512 KB).  F has
+# (L p^2)^2 entries for L-step blocks of p channels, so L = 256 // p^2 up
+# to 64: 64 steps for up to two channels, 16 for four, 1 from twelve on.
+_RESOLVENT_ENTRIES = 1 << 16
+
+
+def _block_map(markov, dt, gamma, w_cov):
+    """The block map F and drive c of _march: a block's outputs are F h + c.
+
+    With markov[i] = M_{i+1} for L - 1 lags, Kronecker kernels
+    K_i = (M_i (x) M_i) dt on row-major vec U and D = diag(vec gamma), the
+    L stacked outputs of a block with history terms h solve
+
+        y = h + T (1 (x) vec W + D y),
+
+    T strictly lower block-Toeplitz in K_1 .. K_{L-1}.  So F = (I - T D)^{-1}
+    is unit lower block-Toeplitz in the discrete resolvent R_0 = I,
+    R_m = sum_{i=1..m} K_i D R_{m-i}, and c is the block's outputs from a
+    zero history; both are marched once, lag by lag.
+    """
+    size, p2 = len(markov) + 1, w_cov.size
+    kernels = np.einsum("iac,ibd->iabcd", markov, markov).reshape(-1, p2, p2) * dt
+    slab = kernels[::-1].transpose(1, 0, 2).reshape(p2, -1)  # [K_{L-1} .. K_1]
+    w_row, gamma_row = w_cov.reshape(-1), gamma.reshape(-1)
+    resolvent = np.zeros((size, p2, p2))
+    drive = np.zeros((size, p2))
+    resolvent[0] = np.eye(p2)
+    for m in range(1, size):
+        tail = slab[:, (size - 1 - m) * p2 :]  # [K_m .. K_1]
+        resolvent[m] = tail @ (gamma_row[:, None] * resolvent[:m]).reshape(-1, p2)
+        drive[m] = tail @ (w_row + gamma_row * drive[:m]).reshape(-1)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    blocks = np.where((lag >= 0)[..., None, None], resolvent[np.maximum(lag, 0)], 0.0)
+    return blocks.transpose(0, 2, 1, 3).reshape(size * p2, -1), drive.reshape(-1)
 
 
 def _march(size, markov, dt, gamma, w_cov, u, r, y, history) -> None:
@@ -223,32 +254,53 @@ def _march(size, markov, dt, gamma, w_cov, u, r, y, history) -> None:
 
     Y_k = dt sum_{j<k} M_{k-j} U_j M_{k-j}^T and U_k = W + gamma o Y_k,
     with markov[i] = M_{i+1}.  At each block start s, history(s, stop)
-    writes into y[s+1 : stop+1] the terms of the inputs U_j, j <= s.
-    Step k adds U_{s+1} .. U_{k-1} as one product of the slab
-    [K_{k-s-1} ... K_1] of Kronecker kernels K_i = (M_i (x) M_i) dt with
-    the stored row-major vec U; one-step blocks need no kernel.  Rates
-    are checked once per block; NonFinite names the first bad step.
+    writes into y[s+1 : stop+1] the terms h of the inputs U_j, j <= s,
+    and one product y = F h + c (see _block_map) adds the block's own
+    inputs: O(size p^4) work per step, and none for one-step blocks,
+    where F = I and c = 0.  Rates are checked once per block; NonFinite
+    names the first bad step.
     """
     n_steps = u.shape[0] - 1
     p2 = w_cov.size
-    kernels = np.einsum("iac,ibd->iabcd", markov, markov).reshape(-1, p2, p2) * dt
-    slab = kernels[::-1].transpose(1, 0, 2).reshape(p2, -1)
-    slabs = [slab[:, (size - 1 - m) * p2 :] for m in range(1, size)]
-    u_vec, u_rows, y_rows = u.reshape(-1), u.reshape(-1, p2), y.reshape(-1, p2)
+    u_rows, r_rows, y_rows = u.reshape(-1, p2), r.reshape(-1, p2), y.reshape(-1, p2)
     w_row, gamma_row = w_cov.reshape(-1), gamma.reshape(-1)
+    block_map = drive = None
+    if size > 1:
+        block_map, drive = _block_map(markov, dt, gamma, w_cov)
     for start in range(0, n_steps, size):
         stop = min(start + size, n_steps)
         history(start, stop)
-        for k in range(start + 1, stop + 1):
-            y_k = y_rows[k]
-            if k > start + 1:
-                y_k += slabs[k - start - 2] @ u_vec[(start + 1) * p2 : k * p2]
-            u_rows[k] = w_row + gamma_row * y_k
-        np.multiply(gamma, y[start + 1 : stop + 1], out=r[start + 1 : stop + 1])
+        hist = y_rows[start + 1 : stop + 1]
+        solved = hist
+        if block_map is not None:
+            solved = block_map[: hist.size, : hist.size] @ hist.reshape(-1)
+            solved += drive[: hist.size]
+            solved = solved.reshape(hist.shape)
         rates = u_rows[start + 1 : stop + 1]
+        np.multiply(gamma_row, solved, out=r_rows[start + 1 : stop + 1])
+        np.add(w_row, r_rows[start + 1 : stop + 1], out=rates)
         if not np.isfinite(rates).all():
-            k = start + 1 + int(np.argmin(np.isfinite(rates).all(axis=1)))
+            k = start + 1 + _first_overflow(hist, block_map, drive, w_row, gamma_row)
             raise NonFinite(f"covariance trajectory overflowed at t={k * dt}")
+        if block_map is not None:
+            hist[:] = solved
+
+
+def _first_overflow(hist, block_map, drive, w_row, gamma_row) -> int:
+    """The first row of a block whose rates are not finite.
+
+    Rows before a non-finite history row must not see it, not even as a
+    zero above F's diagonal times inf, so they are solved on their own.
+    """
+    finite = np.isfinite(hist).all(axis=1)
+    rows = int(np.argmin(finite)) if not finite.all() else len(hist)
+    solved = hist[:rows]
+    if block_map is not None:
+        width = solved.size
+        solved = block_map[:width, :width] @ solved.reshape(-1) + drive[:width]
+    rates = w_row + gamma_row * solved.reshape(rows, -1)
+    finite = np.isfinite(rates).all(axis=1)
+    return int(np.argmin(finite)) if not finite.all() else rows
 
 
 def _blocked_recursion(
@@ -269,12 +321,14 @@ def _blocked_recursion(
         Y_{s+m} = O_m X_s O_m^T + dt sum_{i=1..m-1} M_i U_{s+m-i} M_i^T
 
     with O_i = C E^i and Markov parameters M_i = O_i B.  The history
-    term is one batched product per block, _march adds the sum, and X
-    moves once per block as E^L X E^{LT} plus the block's inputs.
+    term is one batched product per block, _march adds the sum in one
+    product with its block map, and X moves once per block as
+    E^L X E^{LT} plus the block's inputs: O(p n^2 + n^3/L + L p^4) work
+    per step for n states and p channels.
     """
     n_steps = u.shape[0] - 1
     p, n = w_cov.shape[0], block.n_state
-    size = max(1, min(_BLOCK, _SLAB_ENTRIES // p**4, n_steps))
+    size = max(1, min(_BLOCK, math.isqrt(_RESOLVENT_ENTRIES) // p**2, n_steps))
     step = matrix_exponential(block.a, dt)
     obs = np.empty((size, p, n))  # O_i at i - 1
     ctrl = np.empty((size, n, p))  # E^i B at size - 1 - i
@@ -309,11 +363,13 @@ def _sampled_recursion(block, gamma, w_cov, dt, u, r, y) -> None:
 
     The history term of a block starting at s is one product of the
     stored vec U_0 .. U_s with the lag-Hankel matrix of the Kronecker
-    kernels [K_{s+m-j}]; _march adds the block's later inputs.
+    kernels [K_{s+m-j}]; _march solves for the block's own inputs.
     """
     n_steps = u.shape[0] - 1
     p2 = w_cov.size
-    size = min(_hankel_block(n_steps, p2 * p2), max(1, _SLAB_ENTRIES // p2**2))
+    size = min(
+        _hankel_block(n_steps, p2 * p2), max(1, math.isqrt(_RESOLVENT_ENTRIES) // p2)
+    )
     kernel = impulse_response_grid(block, dt, n_steps + 1)
     kernels = np.einsum("iac,ibd->iabcd", kernel, kernel).reshape(-1, p2, p2) * dt
     hankel = _lag_hankel(kernels, size)
@@ -343,14 +399,15 @@ def covariance_trajectory(
         U(t_0) = W,   R(t_k) = gamma_cov o sum_{j=1..k} M(j dt) U(t_{k-j}) M*(j dt) dt,
         U(t_k) = W + R(t_k),   Y by the same kernel sum without the mask.
 
-    Both block kinds run in blocks of L = 64 steps (shorter for more
-    than four channels, so the kernel slab keeps at most 64 * 4^4
-    entries).  At the start s of a block one product brings in every
-    U_j, j <= s; inside it each step is one product of the Kronecker
-    kernels with the block's later stored U (none for one-step blocks).
-    State-space blocks carry the history in the state covariance and
-    step it once per block: O(p n^2 + n^3/L + L p^4) work per step for
-    n states and p channels.  Sampled blocks take it from a lag-Hankel
+    Both block kinds run in blocks of L steps, L = min(64, 256 // p^2)
+    for p channels, so the block map below keeps at most 2^16 entries:
+    64 steps up to two channels, one step from twelve on.  At the start
+    s of a block one product brings in every U_j, j <= s; one more, with
+    the block map built once from the discrete resolvent of the kernels,
+    solves for the whole block (none for one-step blocks), O(L p^4) work
+    per step.  State-space blocks carry the history in the state
+    covariance and step it once per block: O(p n^2 + n^3/L + L p^4) work
+    per step for n states.  Sampled blocks take it from a lag-Hankel
     matrix of the kernels (at most 2^20 entries, with shorter blocks for
     long grids): still O(K p^4) per step, but as one matrix-vector
     product per block.  Both give the same sums up to rounding.
@@ -362,9 +419,7 @@ def covariance_trajectory(
     _check_loop(sys, noise)
     n_steps = _grid_steps(dt, horizon)
     n = noise.n_gains
-    total = 3 * (n_steps + 1) * n * n * 8
-    if total > _MAX_GRID_BYTES:
-        raise BadGrid(f"trajectory rates for {n_steps} steps need {total / 1e9:.1f} GB")
+    _check_grid_memory("trajectory rates", n_steps, 3 * n * n)
     block = _ito_block(sys, noise.gamma_cov, interpretation)
     w_cov = noise.w_cov
     gamma = noise.gamma_cov

@@ -63,6 +63,7 @@ from .noise import NoiseSpec, _philox_state, draw_increment_chunk, philox_genera
 from .system import (
     _MAX_GRID_BYTES,
     LtiSystem,
+    _check_grid_memory,
     _grid_steps,
     _hankel_block,
     _lag_hankel,
@@ -451,6 +452,9 @@ def _advance(step, chunks, batch_size: int):
 def _simulate_path(sys, noise, config, path_index, midpoint, increments):
     _check_loop(sys, noise)
     n_steps = config.n_steps
+    # the time, the output, both loop increments and both draws
+    width = 1 + sys.n_out + 2 * sys.n_in + noise.n_gains + noise.n_drive
+    _check_grid_memory("path arrays", n_steps, width)
     if increments is None:
         gen = philox_generator(config.seed, path_index)
         dgam, dw = _draw_path_increments(noise, config.dt, n_steps, gen)
@@ -514,11 +518,15 @@ def run_ensemble(
     matrix-matrix against a row-vector product), and the statistics do
     not depend on how the paths are batched.  record_increments keeps
     every path's r and u increments; over 2 GB of them is a ValueError.
+    A grid whose per-time statistics would take over 2 GB is a BadGrid.
     """
     _check_loop(sys, noise)
     midpoint = config.interpretation == "stratonovich"
     n_steps = config.n_steps
     n_paths = config.n_paths
+    # the per-time sums, counts and statistics hold about eight floats
+    # per time at once
+    _check_grid_memory("ensemble statistics", n_steps, 8)
     step = _STEPS[config.scheme](sys, config, midpoint)
     r_store = u_store = None
     if record_increments:

@@ -197,8 +197,16 @@ def impulse_response_grid(sys: LtiSystem, dt: float, count: int) -> np.ndarray:
 _MAX_STEPS = np.iinfo(np.intp).max - 1
 
 # The most bytes the arrays kept for a whole grid may take: a run's
-# recorded increments, or a covariance trajectory's three rate arrays.
+# recorded increments, a path or an ensemble's per-time arrays, or a
+# covariance trajectory's three rate arrays.
 _MAX_GRID_BYTES = 2_000_000_000
+
+
+def _check_grid_memory(what: str, n_steps: int, floats_per_time: int) -> None:
+    """Refuse n_steps + 1 times of floats_per_time floats past 2 GB."""
+    total = (n_steps + 1) * floats_per_time * 8
+    if total > _MAX_GRID_BYTES:
+        raise BadGrid(f"{what} for {n_steps} steps need {total / 1e9:.1f} GB")
 
 
 def _grid_steps(dt: float, horizon: float) -> int:

@@ -25,12 +25,12 @@ def random_psd(rng, n, scale=1.0):
     return scale * (f @ f.T) / n
 
 
-def random_loop(rng, n_max=3, p_max=3):
+def random_loop(rng, n_max=3, p_max=3, p_min=1):
     """Random stable block with a square loop and a PSD gain covariance."""
     import msslab
 
     n = int(rng.integers(1, n_max + 1))
-    p = int(rng.integers(1, p_max + 1))
+    p = int(rng.integers(p_min, p_max + 1))
     a = random_stable_matrix(rng, n)
     b = rng.standard_normal((n, p)) / np.sqrt(n)
     c = rng.standard_normal((p, n)) / np.sqrt(n)

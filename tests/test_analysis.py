@@ -461,10 +461,15 @@ class TestBlockedRecursion:
     """The blocked state-space recursion against the one-step reference."""
 
     @pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_one_step_reference(self, seed, interpretation):
+    @pytest.mark.parametrize(
+        "seed, p_min, p_max",
+        [pytest.param(seed, 1, 3, id=str(seed)) for seed in range(8)]
+        # 4, 5 and 8 channels take blocks of 16, 10 and 4 steps
+        + [pytest.param(8 + i, p, p, id=f"p{p}") for i, p in enumerate((4, 5, 8))],
+    )
+    def test_matches_one_step_reference(self, seed, p_min, p_max, interpretation):
         rng = np.random.default_rng(1000 + seed)
-        sys, gamma = random_loop(rng, n_max=8, p_max=3)
+        sys, gamma = random_loop(rng, n_max=8, p_max=p_max, p_min=p_min)
         spec = msslab.validate_noise(
             gamma, random_psd(rng, sys.n_in) + 0.1 * np.eye(sys.n_in)
         )
@@ -478,7 +483,7 @@ class TestBlockedRecursion:
 
     @pytest.mark.parametrize("p", [6, 11])
     def test_wide_loops_take_shorter_blocks(self, p):
-        # 6 channels give 12-step blocks and 11 channels one-step blocks
+        # 6 channels give 7-step blocks and 11 channels two-step blocks
         rng = np.random.default_rng(77 + p)
         n = p + 2
         sys = msslab.make_state_space(
@@ -614,3 +619,20 @@ class TestSampledRecursion:
         with pytest.raises(NonFinite) as ref:
             einsum_trajectory(block, noise(s2), n_steps, dt)
         assert float(str(ref.value).split("t=")[1]) <= k * dt
+
+    def test_overflow_mid_block_after_finite_history(self):
+        # a lone sample too large to square: the history term of step
+        # 100, the 36th of the second 64-step block, is the first
+        # non-finite one, and the steps before it in that block stay finite
+        dt, n_steps = 0.05, 200
+        samples = np.exp(-dt * np.arange(n_steps + 1))
+        samples[100] = 1e160
+        block = msslab.make_sampled(dt, samples)
+        with pytest.raises(NonFinite) as got:
+            msslab.covariance_trajectory(
+                block, noise(1.0), "ito", horizon=n_steps * dt, dt=dt
+            )
+        with pytest.raises(NonFinite) as want:
+            einsum_trajectory(block, noise(1.0), n_steps, dt)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"covariance trajectory overflowed at t={100 * dt}"

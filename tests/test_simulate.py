@@ -241,6 +241,15 @@ class TestEnsembleStats:
         target = 1.0 / (2.0 - dt - s2)
         assert abs(ens.var_y[-1] - target) < 4.0 * ens.stderr_y[-1]
 
+    def test_grid_too_large_for_memory(self):
+        # 2^40 steps index an array, but one path's arrays would take
+        # 53 TB and the ensemble's per-time statistics 70 TB
+        cfg = SimulationConfig(dt=2.0**-20, horizon=2.0**20, n_paths=1, seed=0)
+        with pytest.raises(BadGrid, match="GB"):
+            msslab.run_ensemble(scalar_block(), noise(0.5), cfg)
+        with pytest.raises(BadGrid, match="GB"):
+            msslab.simulate_path(scalar_block(), noise(0.5), cfg)
+
 
 class TestBatching:
     def test_results_do_not_depend_on_batching(self):

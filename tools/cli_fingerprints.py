@@ -122,6 +122,7 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("error.huge_grid_simulate", ["simulate", ITO, "--horizon", "1e300", "--dt", "1e-10"]),
         # 2^40 steps: an array can index them, memory cannot hold the rates
         ("error.memory_grid_trajectory", ["trajectory", ITO, "--horizon", "1048576", "--dt", "9.5367431640625e-07"]),
+        ("error.memory_grid_simulate", ["simulate", ITO, "--horizon", "1048576", "--dt", "9.5367431640625e-07", "--n-paths", "1"]),
         ("error.power_tol", ["analyze", ITO, "--power-tol", "-1.0"]),
         ("error.quad_dt", ["analyze", ITO, "--quad-dt", "0"]),
         ("error.sampled_compare", ["compare", DELAY, "--n-paths", "4"]),
