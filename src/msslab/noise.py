@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotPsd, NotSymmetric
+from .system import _float_array
 
 SYMMETRY_TOL = 1e-12
 
@@ -29,7 +30,7 @@ def _psd_factor(cov, name: str) -> tuple[np.ndarray, np.ndarray]:
     rank-deficient (perfectly correlated or absent channels) and Cholesky
     would reject them.  Eigenvalues in [-eps_psd, 0) are clamped to zero.
     """
-    mat = np.array(cov, dtype=float)
+    mat = _float_array(cov, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):

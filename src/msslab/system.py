@@ -38,8 +38,36 @@ LYAPUNOV_MAX_ITER = 50
 LYAPUNOV_RESIDUAL_TOL = 1e-12
 
 
+def _nested_shape(value) -> tuple | None:
+    """Shape of nested lists, tuples and arrays; None where siblings differ."""
+    if isinstance(value, np.ndarray):
+        return value.shape
+    if not isinstance(value, (list, tuple)):
+        return ()
+    shapes = {_nested_shape(item) for item in value}
+    if None in shapes or len(shapes) > 1:
+        return None
+    return (len(value), *shapes.pop()) if shapes else (0,)
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """np.array(value, dtype=float), refusing ragged nesting by name.
+
+    Raggedness is looked for only after numpy refuses the value, so valid
+    input pays nothing; any other ValueError (a non-numeric entry) stands.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:
+        if _nested_shape(value) is None:
+            raise DimensionMismatch(
+                f"{name} is ragged: nested lists of unequal length"
+            ) from None
+        raise
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.array(value, dtype=float)
+    mat = _float_array(value, name)
     if mat.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -109,7 +137,7 @@ def make_sampled(dt: float, values) -> LtiSystem:
         raise NonFinite("sample dt is not finite")
     if dt <= 0:
         raise NonPositiveDt(f"sample dt must be positive, got {dt}")
-    samples = np.array(values, dtype=float)
+    samples = _float_array(values, "samples")
     if samples.ndim == 1:
         samples = samples[:, None, None]
     if samples.ndim != 3:

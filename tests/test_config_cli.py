@@ -1,15 +1,30 @@
 """Config loading, schema validation and the command line interface."""
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import msslab
 from msslab import ConfigError
 from msslab.cli import main
-from msslab.config import _load_schema, load_config, parse_config, validate_report
+from msslab.config import (
+    _Foreign,
+    _acceptor,
+    _compile,
+    _load_schema,
+    load_config,
+    parse_config,
+    validate_report,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,8 +171,7 @@ class TestParseConfig:
 
 
 class TestSampledSchemaCheck:
-    """A config with many samples is schema-checked on two of them; every
-    outcome must still be the full walk's."""
+    """A config with many samples: every outcome must be the full walk's."""
 
     @pytest.mark.parametrize("variant", sorted(SAMPLED_VARIANTS))
     def test_same_error_as_full_walk(self, variant):
@@ -187,43 +201,226 @@ class TestSampledSchemaCheck:
         else:
             assert exc.value.field_path == rejected_by
 
-    def test_valid_config_reaches_schema_with_two_samples(self, monkeypatch):
-        seen = []
-        real = jsonschema.Draft202012Validator
 
-        class Recording:
-            def __init__(self, schema):
-                self.inner = real(schema)
+ROOT = CONFIGS.parent
+SHIPPED = sorted(CONFIGS.glob("*.json")) + sorted((ROOT / "perfbench" / "inputs").glob("*.json"))
+# the shipped state-space configs and a short sampled kernel: the 4,001
+# samples of delay.json would make each edited example slow
+CONFIG_BASES = [sampled_data(count=6)] + [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in SHIPPED
+    if path.stem != "delay"
+]
+VALIDATORS = {
+    name: jsonschema.Draft202012Validator(_load_schema(name))
+    for name in ("problem_config", "report")
+}
 
-            def is_valid(self, instance):
-                seen.append(len(instance["system"]["samples"]))
-                return self.inner.is_valid(instance)
+# values an edit puts in place: every JSON type, the schemas' boundary
+# values (0, integral floats, NaN) and near-miss matrices; DROP deletes
+EDITS = [
+    DROP, None, True, False, 0, 1, -1, 0.0, 0.5, 20.0, 2.5, -0.01, math.nan,
+    math.inf, "x", "ito", "stratonovich", "analysis", "simulation",
+    "convolution_sum", [], {}, [[]], [[1.0]], [[1]], [[True]], [["1"]],
+    [[0.5], [0.5, 0.1]], [[[1.0]], [[0.5]]], [1.0], {"a": [[1.0]]},
+]
+NEW_KEYS = ["extra", "a", "dt", "samples", "kind", "rho", "steady_state", "seed"]
 
-            def iter_errors(self, instance):
-                seen.append(len(instance["system"]["samples"]))
-                return self.inner.iter_errors(instance)
 
-        monkeypatch.setattr(jsonschema, "Draft202012Validator", Recording)
-        cfg = parse_config(sampled_data(400))
-        assert cfg.system.samples.shape == (400, 1, 1)
-        assert seen and max(seen) <= 2
+def _slots(doc):
+    """(container, slot) for every value in doc's tree, for a new key in
+    every object and for an item appended to every array."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        extra = NEW_KEYS if isinstance(node, dict) else [len(node)]
+        slots += [(node, key) for key in keys + [k for k in extra if k not in keys]]
+        stack += [node[key] for key in keys if isinstance(node[key], (dict, list))]
+    return slots
 
-    def test_schema_matrix_is_what_the_cut_assumes(self):
-        # the cut to two samples is exact only for these definitions
-        schema = _load_schema("problem_config")
-        assert schema["$defs"]["matrix"] == {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-        }
-        state_space, sampled = schema["properties"]["system"]["oneOf"]
-        assert sampled["properties"]["samples"] == {
-            "type": "array",
-            "minItems": 2,
-            "items": {"$ref": "#/$defs/matrix"},
-        }
-        assert sampled["additionalProperties"] is False
-        assert state_space["additionalProperties"] is False
+
+def _edit(node, slot, value):
+    if isinstance(node, list) and slot == len(node):
+        if value is not DROP:
+            node.append(copy.deepcopy(value))
+    elif value is not DROP:
+        node[slot] = copy.deepcopy(value)
+    elif isinstance(node, list) or slot in node:
+        del node[slot]
+
+
+def _edited(data, doc):
+    """doc with one to three edits drawn from EDITS, each in a drawn slot."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit(*data.draw(st.sampled_from(_slots(doc))), data.draw(st.sampled_from(EDITS)))
+    return doc
+
+
+def _single_edits(doc):
+    """doc with each value of EDITS in each of its slots, one at a time."""
+    for index in range(len(_slots(doc))):
+        for value in EDITS:
+            edited = copy.deepcopy(doc)
+            _edit(*_slots(edited)[index], value)
+            yield edited
+
+
+@pytest.fixture(scope="module")
+def written_reports(tmp_path_factory):
+    """The reports the four commands write, read back from disk."""
+    tmp = tmp_path_factory.mktemp("reports")
+    grid = ["--n-paths", "20", "--dt", "0.01", "--horizon", "0.5"]
+    runs = [
+        ["analyze", str(CONFIGS / "scalar_ito.json")],
+        ["analyze", str(CONFIGS / "scalar_unstable.json")],
+        ["analyze", str(ROOT / "perfbench" / "inputs" / "coupled.json")],
+        ["simulate", str(CONFIGS / "scalar_stratonovich.json"), *grid],
+        ["trajectory", str(CONFIGS / "scalar_stratonovich.json"), "--horizon", "0.5"],
+        ["compare", str(CONFIGS / "scalar_stratonovich.json"), *grid],
+    ]
+    reports = []
+    for index, argv in enumerate(runs):
+        out = tmp / f"report{index}.json"
+        assert main([*argv, "--out", str(out)]) in (0, 3)
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    return reports
+
+
+class TestSchemaAcceptor:
+    """The compiled acceptor answers as jsonschema does on JSON values, so a
+    valid document never needs jsonschema."""
+
+    def test_valid_path_never_imports_jsonschema(self, tmp_path):
+        out = tmp_path / "report.json"
+        grid = ["--n-paths", "20", "--dt", "0.01", "--horizon", "0.5"]
+        strat = str(CONFIGS / "scalar_stratonovich.json")
+        commands = [["analyze", str(path)] for path in SHIPPED] + [
+            ["simulate", strat, *grid],
+            ["trajectory", strat, "--horizon", "0.5"],
+            ["compare", strat, *grid],
+        ]
+        script = "\n".join([
+            "import json, sys",
+            "import msslab, msslab.cli",
+            "for path in json.loads(sys.argv[1]): msslab.load_config(path)",
+            "for argv in json.loads(sys.argv[2]):",
+            "    assert msslab.cli.main([*argv, '--out', sys.argv[3]]) in (0, 3), argv",
+            "print('jsonschema' in sys.modules)",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([str(p) for p in SHIPPED]),
+             json.dumps(commands), str(out)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_agrees_on_shipped_configs_and_written_reports(self, written_reports):
+        for path in SHIPPED:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert _acceptor("problem_config")(doc)
+            assert VALIDATORS["problem_config"].is_valid(doc)
+        for report in written_reports:
+            assert _acceptor("report")(report)
+            assert VALIDATORS["report"].is_valid(report)
+
+    def test_foreign_number_type_is_left_to_jsonschema(self):
+        # np.float64 is a JSON number to jsonschema but not a type json.load
+        # gives, so the acceptor defers and the full walk accepts
+        data = sampled_data()
+        data["system"]["samples"][MID][0][0] = np.float64(0.5)
+        assert parse_config(data).system.samples[MID, 0, 0] == 0.5
+
+    @pytest.mark.parametrize(
+        "schema, value",
+        [
+            (
+                {"oneOf": [
+                    {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+                    {"type": "array"},
+                ]},
+                [[np.float64(1.0)]],
+            ),
+            ({"oneOf": [{"type": "number"}, {}]}, np.float64(1.0)),
+        ],
+    )
+    def test_foreign_value_is_left_to_jsonschema(self, schema, value):
+        # jsonschema finds both branches valid and refuses the value; the
+        # acceptor must defer, not count a branch it cannot judge as failed
+        assert not jsonschema.Draft202012Validator(schema).is_valid(value)
+        with pytest.raises(_Foreign):
+            _compile(schema, schema)(value)
+
+    def test_agrees_on_every_single_edit(self, written_reports):
+        # a scalar and a sampled config, and one report of each kind with
+        # and without a steady state
+        cases = [("problem_config", CONFIG_BASES[i]) for i in (0, 1)] + [
+            ("report", written_reports[i]) for i in (0, 1, 3, 4, 5)
+        ]
+        for name, base in cases:
+            for doc in _single_edits(base):
+                assert _acceptor(name)(doc) == VALIDATORS[name].is_valid(doc), doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_on_edited_configs(self, data):
+        doc = _edited(data, data.draw(st.sampled_from(CONFIG_BASES)))
+        assert _acceptor("problem_config")(doc) == VALIDATORS["problem_config"].is_valid(doc)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_agrees_on_edited_reports(self, data, written_reports):
+        doc = _edited(data, data.draw(st.sampled_from(written_reports)))
+        assert _acceptor("report")(doc) == VALIDATORS["report"].is_valid(doc)
+
+    @pytest.mark.parametrize(
+        "schema, values",
+        [
+            # keyword uses the shipped schemas do not exercise
+            ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, [1, 2.0, 1.5, "x"]),
+            ({"minimum": 0}, [math.nan, -1, 0, -0.5, "x"]),
+            ({"exclusiveMinimum": 0}, [math.nan, 0, 0.0, 1e-300, None]),
+            (
+                {"type": "array", "minItems": 2, "items": {"required": ["a"]}},
+                [[], [{"a": 1}], [{"a": 1}, {"a": 2}], [{"a": 1}, {}], [{"a": 1}, 1], {}],
+            ),
+            ({"type": ["integer", "null"]}, [None, 1.0, 1.5, True, math.inf]),
+            (
+                {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}},
+                [[[1, 2.0]], [[1.5]], [[True]], [[]], [1]],
+            ),
+        ],
+    )
+    def test_matches_jsonschema_on_other_schemas(self, schema, values):
+        validator = jsonschema.Draft202012Validator(schema)
+        for value in values:
+            assert _compile(schema, schema)(value) == validator.is_valid(value), value
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "number", "maximum": 1},
+            {"type": "object", "patternProperties": {"^x": {}}},
+            {"type": "object", "additionalProperties": {"type": "string"}},
+            {"if": {"const": "a"}, "then": {}, "else": {}},
+            {"enum": [1, 2]},
+            {"items": {"type": "array", "items": {"format": "date"}}},
+            {"$ref": "other.json#/x"},
+            {"type": "array", "items": [{"type": "number"}]},
+            {"type": "object", "properties": {"a": True}},
+        ],
+    )
+    def test_unsupported_keyword_refused(self, schema):
+        with pytest.raises(ValueError):
+            _compile(schema, schema)
 
 
 class TestLoadConfig:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
-from msslab import NotPsd, NotSymmetric
+from msslab import DimensionMismatch, NotPsd, NotSymmetric
 from msslab.noise import _philox_state
 
 
@@ -37,6 +37,17 @@ class TestValidateNoise:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             msslab.validate_noise([[1.0, 0.1], [0.0, 1.0]], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "operand, args",
+        [
+            ("gamma_cov", ([[0.5], [0.1, 0.2]], [[1.0]])),
+            ("w_cov", ([[0.5]], [[1.0, 0.0], [0.0]])),
+        ],
+    )
+    def test_ragged_covariance_names_the_operand(self, operand, args):
+        with pytest.raises(DimensionMismatch, match=f"^{operand} is ragged"):
+            msslab.validate_noise(*args)
 
     def test_zero_gain_covariance_ok(self):
         spec = msslab.validate_noise([[0.0]], [[1.0]])

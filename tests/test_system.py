@@ -110,6 +110,27 @@ class TestConstructors:
         with pytest.raises(NonFinite):
             msslab.make_state_space([[np.nan]], [[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize(
+        "operand, args",
+        [
+            ("A", ([[-1.0], [1.0, 2.0]], [[1.0]], [[1.0]])),
+            ("B", ([[-1.0]], [[1.0], [1.0, 2.0]], [[1.0]])),
+            ("C", ([[-1.0]], [[1.0]], [[1.0, 2.0], [1.0]])),
+        ],
+    )
+    def test_ragged_realization_names_the_operand(self, operand, args):
+        with pytest.raises(DimensionMismatch, match=f"^{operand} is ragged"):
+            msslab.make_state_space(*args)
+
+    def test_ragged_samples_name_the_operand(self):
+        with pytest.raises(DimensionMismatch, match="^samples is ragged"):
+            msslab.make_sampled(0.1, [[[1.0]], [[1.0, 2.0]]])
+
+    def test_non_numeric_entry_stays_value_error(self):
+        with pytest.raises(ValueError, match="could not convert") as exc:
+            msslab.make_state_space([["x"]], [[1.0]], [[1.0]])
+        assert not isinstance(exc.value, msslab.MsslabError)
+
     def test_sampled_roundtrip(self):
         samples = np.exp(-np.arange(5) * 0.1).reshape(5, 1, 1)
         sys = msslab.make_sampled(0.1, samples)

@@ -56,6 +56,14 @@ GENERATED = {
     "sim_float_seed": {**_SCALAR, "simulation": {**_GRID, "n_paths": 20, "seed": 42.0}},
     "analysis_int": {**_SCALAR, "analysis": {"power_max_iter": 100}},
     "analysis_float": {**_SCALAR, "analysis": {"power_max_iter": 100.0}},
+    # schema errors named only by the jsonschema walk, and a ragged matrix
+    # that the schema passes and the constructors refuse
+    "bool_entry": {**_SCALAR, "system": {"a": [[True]], "b": [[1.0]], "c": [[1.0]]}},
+    "sampled_string": {
+        **_SCALAR,
+        "system": {"dt": 0.1, "samples": [[[1.0]], [["0.5"]], [[0.25]]]},
+    },
+    "ragged_gamma_cov": {**_SCALAR, "noise": {"gamma_cov": [[0.5], [0.1, 0.2]], "w_cov": [[1.0]]}},
 }
 
 _SMALL = ["--n-paths", "50", "--dt", "0.01", "--horizon", "0.5"]
@@ -128,6 +136,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("error.sampled_compare", ["compare", DELAY, "--n-paths", "4"]),
         ("error.overflow_trajectory", ["trajectory", "$TMP/overflow.json", "--dt", "0.01", "--horizon", "5.0", *_OUT, *_CSV]),
         ("error.unknown_key", ["analyze", "$TMP/unknown_key.json"]),
+        ("error.bool_entry", ["analyze", "$TMP/bool_entry.json"]),
+        ("error.sampled_string", ["analyze", "$TMP/sampled_string.json"]),
+        ("error.ragged_gamma_cov", ["analyze", "$TMP/ragged_gamma_cov.json"]),
         ("error.missing_config", ["analyze", "$TMP/absent.json"]),
         ("error.invalid_json", ["analyze", "$TMP/broken.json"]),
         ("error.unwritable_out", ["analyze", ITO, "--out", "$TMP/no_such_dir/report.json"]),
