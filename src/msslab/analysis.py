@@ -22,7 +22,6 @@ from .loopgain import (
     SpectralResult,
     _check_interpretation,
     _check_loop,
-    _integral,
     _ito_block,
     covariance_sandwich,
     lgo_matrix_apply,
@@ -40,24 +39,6 @@ from .system import (
     impulse_response_grid,
     matrix_exponential,
 )
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Tunables for the verdict computation; defaults suit desk scale."""
-
-    power_tol: float = 1e-10
-    power_max_iter: int = 10000
-
-    def __post_init__(self):
-        if not self.power_tol > 0:
-            raise ValueError(f"power_tol must be positive, got {self.power_tol}")
-        max_iter = _integral("power_max_iter", self.power_max_iter)
-        object.__setattr__(self, "power_max_iter", max_iter)
-        if self.power_max_iter < 1:
-            raise ValueError(
-                f"power_max_iter must be >= 1, got {self.power_max_iter}"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,7 +117,6 @@ def analyze(
     sys: LtiSystem,
     noise: NoiseSpec,
     interpretation: str = "ito",
-    options: AnalysisOptions | None = None,
 ) -> MssVerdict:
     """Full mean-square stability verdict for the closed loop.
 
@@ -148,7 +128,6 @@ def analyze(
     "h2_truncated_grid", since finiteness cannot be decided from
     finitely many samples; that verdict is best-effort by construction.
     """
-    options = options or AnalysisOptions()
     _check_interpretation(interpretation)
     _check_loop(sys, noise)
     flags: list[str] = []
@@ -167,9 +146,7 @@ def analyze(
         h2_squared = handle.h2_squared
         flags.extend(("h2_truncated_grid", "rho_sample_grid"))
     h2_finite = math.isfinite(h2_squared)
-    spectral = spectral_radius_power(
-        handle, tol=options.power_tol, max_iter=options.power_max_iter
-    )
+    spectral = spectral_radius_power(handle)
     if not spectral.converged:
         flags.append("power_iteration_max_iter")
 

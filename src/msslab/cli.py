@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .analysis import AnalysisOptions, analyze, covariance_trajectory
+from .analysis import analyze, covariance_trajectory
 from .config import ProblemConfig, load_config, validate_report
 from .errors import (
     BadGrid,
@@ -36,8 +36,8 @@ from .errors import (
     NonFinite,
     RealizationRequired,
 )
-from .loopgain import equivalent_ito_system
-from .simulate import SimulationConfig, run_ensemble
+from .loopgain import INTERPRETATIONS, equivalent_ito_system
+from .simulate import SCHEMES, SimulationConfig, run_ensemble
 
 _MAX_CSV_ROWS = 2000
 
@@ -160,30 +160,25 @@ def _print_verdict(verdict) -> None:
         )
 
 
-def _settings(section: str, cls, values: dict, args):
-    """Build dataclass ``cls`` from config values, where a command line
-    flag named after a field takes the place of its value."""
-    values = dict(values)
-    for field in dataclasses.fields(cls):
+def _simulation_config(cfg: ProblemConfig, args) -> SimulationConfig:
+    """The config's simulation settings, where a command line flag named
+    after a field takes the place of its value."""
+    values = vars(cfg.simulation) if cfg.simulation is not None else {}
+    values = {**values, "interpretation": cfg.interpretation}
+    for field in dataclasses.fields(SimulationConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
             values[field.name] = flag
         elif field.name not in values and field.default is dataclasses.MISSING:
             raise ConfigError(
-                f"{section}.{field.name}",
+                f"simulation.{field.name}",
                 f"required: set it in the config or pass "
                 f"--{field.name.replace('_', '-')}",
             )
     try:
-        return cls(**values)
+        return SimulationConfig(**values)
     except (MsslabError, ValueError) as err:
-        raise ConfigError(section, str(err)) from err
-
-
-def _simulation_config(cfg: ProblemConfig, args) -> SimulationConfig:
-    values = vars(cfg.simulation) if cfg.simulation is not None else {}
-    values = {**values, "interpretation": cfg.interpretation}
-    return _settings("simulation", SimulationConfig, values, args)
+        raise ConfigError("simulation", str(err)) from err
 
 
 def _trajectory(cfg: ProblemConfig, sim_config: SimulationConfig):
@@ -197,8 +192,7 @@ def _trajectory(cfg: ProblemConfig, sim_config: SimulationConfig):
 
 
 def _cmd_analyze(cfg: ProblemConfig, args):
-    options = _settings("analysis", AnalysisOptions, vars(cfg.analysis), args)
-    verdict = analyze(cfg.system, cfg.noise, cfg.interpretation, options)
+    verdict = analyze(cfg.system, cfg.noise, cfg.interpretation)
     _print_verdict(verdict)
     code = EXIT_OK if verdict.mss else EXIT_NOT_MSS
     return code, _analysis_report(verdict), None
@@ -281,8 +275,8 @@ def _cmd_trajectory(cfg: ProblemConfig, args):
 
 def _cmd_compare(cfg: ProblemConfig, args):
     sim_config = _simulation_config(cfg, args)
-    verdict_ito = analyze(cfg.system, cfg.noise, "ito", cfg.analysis)
-    verdict_strat = analyze(cfg.system, cfg.noise, "stratonovich", cfg.analysis)
+    verdict_ito = analyze(cfg.system, cfg.noise, "ito")
+    verdict_strat = analyze(cfg.system, cfg.noise, "stratonovich")
 
     equivalent = equivalent_ito_system(cfg.system, cfg.noise.gamma_cov)
     config_ito = dataclasses.replace(sim_config, interpretation="ito")
@@ -345,7 +339,7 @@ def _subcommand(sub, name: str, handler, summary: str, interpretation=True):
     parser.add_argument("config", help="path to a problem config (JSON)")
     parser.add_argument("--out", metavar="PATH", help="write a JSON report")
     if interpretation:
-        parser.add_argument("--interpretation", choices=["ito", "stratonovich"])
+        parser.add_argument("--interpretation", choices=INTERPRETATIONS)
     parser.set_defaults(handler=handler, interpretation=None, csv=None)
     return parser
 
@@ -358,7 +352,7 @@ def _add_grid_flags(parser, with_paths=True) -> None:
         parser.add_argument("--seed", type=int, help="base RNG seed")
         parser.add_argument(
             "--scheme",
-            choices=["state_space_step", "convolution_sum"],
+            choices=SCHEMES,
             help="discretization scheme",
         )
     else:
@@ -376,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = _subcommand(sub, "analyze", _cmd_analyze, "stability verdict")
-    p_analyze.add_argument("--power-tol", type=float, default=None)
-    p_analyze.add_argument("--power-max-iter", type=int, default=None)
+    _subcommand(sub, "analyze", _cmd_analyze, "stability verdict")
 
     p_simulate = _subcommand(sub, "simulate", _cmd_simulate, "Monte Carlo ensemble")
     _add_grid_flags(p_simulate)

@@ -1,7 +1,7 @@
 """JSON problem configurations and report validation.
 
 A problem config bundles a block (realization or sampled kernel), the
-noise covariances, the interpretation and optional analysis/simulation
+noise covariances, the interpretation and optional simulation
 settings.  Structure is checked against a shipped JSON schema, then the
 values go through the same constructors the library API uses, so a
 loaded config can never be weaker-validated than one built in code.
@@ -22,8 +22,8 @@ from functools import cache
 from importlib import resources
 from itertools import chain
 
-from .analysis import AnalysisOptions
-from .errors import ConfigError, MsslabError
+from .errors import ConfigError, DimensionMismatch, MsslabError
+from .loopgain import _check_loop
 from .noise import NoiseSpec, validate_noise
 from .simulate import SimulationConfig
 from .system import LtiSystem, make_sampled, make_state_space
@@ -45,7 +45,6 @@ class ProblemConfig:
     system: LtiSystem
     noise: NoiseSpec
     interpretation: str
-    analysis: AnalysisOptions
     simulation: SimulationConfig | None
 
 
@@ -260,29 +259,12 @@ def parse_config(data: dict) -> ProblemConfig:
         noise = validate_noise(data["noise"]["gamma_cov"], data["noise"]["w_cov"])
     except (MsslabError, ValueError) as err:
         raise ConfigError("noise", str(err)) from err
-    if system.n_in != system.n_out:
-        raise ConfigError(
-            "system",
-            f"feedback loop needs a square block, got {system.n_out} "
-            f"outputs and {system.n_in} inputs",
-        )
-    if noise.n_gains != system.n_in:
-        raise ConfigError(
-            "noise.gamma_cov",
-            f"gain covariance has {noise.n_gains} channels but the loop "
-            f"has {system.n_in}",
-        )
-    if noise.n_drive != system.n_in:
-        raise ConfigError(
-            "noise.w_cov",
-            f"drive covariance has {noise.n_drive} channels but the loop "
-            f"has {system.n_in}",
-        )
-    interpretation = data.get("interpretation", "ito")
     try:
-        analysis = AnalysisOptions(**data.get("analysis", {}))
-    except ValueError as err:
-        raise ConfigError("analysis", str(err)) from err
+        _check_loop(system, noise)
+    except DimensionMismatch as err:
+        path = "system" if err.operand == "system" else f"noise.{err.operand}"
+        raise ConfigError(path, str(err)) from err
+    interpretation = data.get("interpretation", "ito")
     simulation = None
     if "simulation" in data:
         sim = data["simulation"]
@@ -301,7 +283,6 @@ def parse_config(data: dict) -> ProblemConfig:
         system=system,
         noise=noise,
         interpretation=interpretation,
-        analysis=analysis,
         simulation=simulation,
     )
 

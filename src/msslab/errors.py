@@ -10,7 +10,15 @@ class MsslabError(Exception):
 
 
 class DimensionMismatch(MsslabError):
-    """Matrix shapes are inconsistent with each other or with the loop."""
+    """Matrix shapes are inconsistent with each other or with the loop.
+
+    ``operand`` names the loop operand sized wrong ("system", "gamma_cov"
+    or "w_cov") when the loop check raised it, else None.
+    """
+
+    def __init__(self, message: str, operand: str | None = None):
+        self.operand = operand
+        super().__init__(message)
 
 
 class NonFinite(MsslabError):
@@ -47,8 +55,9 @@ class SingularSystem(MsslabError):
 
 
 class BadQuadrature(MsslabError):
-    """Quadrature grid parameters are unusable (nonpositive, inconsistent
-    with a sampled kernel, or too coarse)."""
+    """Quadrature grid parameters are unusable: a horizon or dt that is
+    not positive and finite, or a grid of fewer than 2 steps or of more
+    than can be held."""
 
 
 class RealizationRequired(MsslabError):

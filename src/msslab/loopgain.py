@@ -80,7 +80,8 @@ def _integral(name: str, value) -> int:
 def _check_loop(sys: LtiSystem, noise) -> np.ndarray:
     """The gain covariance of a loop around sys, from a NoiseSpec or a
     bare gamma_cov (validated here).  The block must be square and each
-    covariance sized to its channels; a mismatch names the wrong one."""
+    covariance sized to its channels; a mismatch names the wrong one in
+    its message and as its ``operand``."""
     if isinstance(noise, NoiseSpec):
         gamma_cov, w_cov = noise.gamma_cov, noise.w_cov
     else:
@@ -89,17 +90,20 @@ def _check_loop(sys: LtiSystem, noise) -> np.ndarray:
     if sys.n_out != sys.n_in:
         raise DimensionMismatch(
             f"feedback loop needs a square block, got {sys.n_out} outputs "
-            f"and {sys.n_in} inputs"
+            f"and {sys.n_in} inputs",
+            operand="system",
         )
     if len(gamma_cov) != sys.n_in:
         raise DimensionMismatch(
             f"gamma_cov is {len(gamma_cov)}x{len(gamma_cov)} but the block "
-            f"has {sys.n_in} loop channels"
+            f"has {sys.n_in} loop channels",
+            operand="gamma_cov",
         )
     if w_cov is not None and len(w_cov) != sys.n_in:
         raise DimensionMismatch(
             f"w_cov is {len(w_cov)}x{len(w_cov)} but the additive "
-            f"drive shares the {sys.n_in}-channel loop input"
+            f"drive shares the {sys.n_in}-channel loop input",
+            operand="w_cov",
         )
     return gamma_cov
 

@@ -97,6 +97,8 @@ class SimulationConfig:
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         _check_interpretation(self.interpretation)
         if self.scheme not in SCHEMES:
             raise ValueError(

@@ -51,19 +51,23 @@ def _nested_shape(value) -> tuple | None:
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """np.array(value, dtype=float), refusing ragged nesting by name.
+    """np.array(value, dtype=float), refusing ragged nesting and empty
+    operands by name, as the config schema's minItems does.
 
     Raggedness is looked for only after numpy refuses the value, so valid
     input pays nothing; any other ValueError (a non-numeric entry) stands.
     """
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value, dtype=float)
     except ValueError:
         if _nested_shape(value) is None:
             raise DimensionMismatch(
                 f"{name} is ragged: nested lists of unequal length"
             ) from None
         raise
+    if array.size == 0:
+        raise DimensionMismatch(f"{name} is empty, got shape {array.shape}")
+    return array
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

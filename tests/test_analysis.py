@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import msslab
 from msslab import (
-    AnalysisOptions,
     BadGrid,
     DimensionMismatch,
     NonFinite,
@@ -206,15 +205,19 @@ class TestVerdicts:
         v = msslab.analyze(scalar_block(), noise(1.0), "ito")
         assert_array_equal(v.worst_case_cov, v.spectral.eigen_matrix)
 
-    def test_power_iteration_budget_flag(self):
+    def test_power_iteration_budget_flag(self, monkeypatch):
         rng = np.random.default_rng(302)
         sys, gamma = random_loop(rng, n_max=3, p_max=3)
         while sys.n_in < 2:
             sys, gamma = random_loop(rng, n_max=3, p_max=3)
         spec = msslab.validate_noise(gamma, np.eye(sys.n_in))
-        v = msslab.analyze(
-            sys, spec, "ito", AnalysisOptions(power_tol=1e-16, power_max_iter=2)
+        power = msslab.analysis.spectral_radius_power
+        monkeypatch.setattr(
+            msslab.analysis,
+            "spectral_radius_power",
+            lambda handle: power(handle, tol=1e-16, max_iter=2),
         )
+        v = msslab.analyze(sys, spec, "ito")
         assert "power_iteration_max_iter" in v.flags
         assert not v.spectral.converged
 
@@ -254,18 +257,6 @@ class TestVerdicts:
             spec = msslab.validate_noise(np.eye(gamma), np.eye(w))
             with pytest.raises(DimensionMismatch, match=name):
                 msslab.analyze(scalar_block(), spec, "ito")
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            AnalysisOptions(power_tol=0.0)
-        with pytest.raises(ValueError):
-            AnalysisOptions(power_max_iter=0)
-
-
-    def test_power_max_iter_takes_integral_floats(self):
-        assert type(AnalysisOptions(power_max_iter=100.0).power_max_iter) is int
-        with pytest.raises(ValueError, match="must be an integer"):
-            AnalysisOptions(power_max_iter=2.5)
 
 
 def coupled_loop():

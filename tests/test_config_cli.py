@@ -95,7 +95,6 @@ class TestParseConfig:
         cfg = parse_config(scalar_data())
         assert cfg.interpretation == "ito"
         assert cfg.simulation is None
-        assert cfg.analysis == msslab.AnalysisOptions()
 
     def test_sampled_block(self):
         data = scalar_data()
@@ -121,10 +120,10 @@ class TestParseConfig:
 
     def test_error_carries_field_path(self):
         data = scalar_data()
-        data["analysis"] = {"power_tol": -1.0}
+        data["simulation"] = {"dt": -1.0, "horizon": 1.0, "n_paths": 5, "seed": 1}
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
-        assert exc.value.field_path.startswith("analysis")
+        assert exc.value.field_path.startswith("simulation")
         assert str(exc.value).startswith(exc.value.field_path + ":")
 
     def test_bad_interpretation_rejected(self):
@@ -164,10 +163,26 @@ class TestParseConfig:
         assert exc.value.field_path == "simulation"
 
 
-    def test_nan_analysis_value_is_config_error(self):
+    def test_nan_simulation_value_is_config_error(self):
         # Python's json reads NaN, and NaN passes exclusiveMinimum
-        with pytest.raises(ConfigError, match="analysis: power_tol must be positive"):
-            parse_config(scalar_data(analysis={"power_tol": math.nan}))
+        data = scalar_data(
+            simulation={"dt": math.nan, "horizon": 1.0, "n_paths": 5, "seed": 1}
+        )
+        with pytest.raises(ConfigError, match="simulation: dt must be positive, got nan"):
+            parse_config(data)
+
+    def test_loop_mismatch_worded_as_the_library(self):
+        data = scalar_data()
+        data["noise"]["gamma_cov"] = [[0.5, 0.0], [0.0, 0.5]]
+        with pytest.raises(msslab.DimensionMismatch) as lib:
+            msslab.analyze(
+                msslab.make_state_space([[-1.0]], [[1.0]], [[1.0]]),
+                msslab.validate_noise(data["noise"]["gamma_cov"], [[1.0]]),
+            )
+        with pytest.raises(ConfigError) as cfg:
+            parse_config(data)
+        assert cfg.value.field_path == "noise.gamma_cov"
+        assert str(cfg.value) == f"noise.gamma_cov: {lib.value}"
 
 
 class TestSampledSchemaCheck:
@@ -488,16 +503,19 @@ class TestCliAnalyze:
         assert out.read_bytes() == first
 
     def test_bad_flag_value_is_config_error(self, capsys):
-        rc = main(
-            [
-                "analyze",
-                str(CONFIGS / "scalar_ito.json"),
-                "--power-tol",
-                "-1.0",
-            ]
-        )
+        rc = main(["simulate", str(CONFIGS / "scalar_ito.json"), "--n-paths", "0"])
         assert rc == 65
         assert "config error" in capsys.readouterr().err
+
+    def test_analysis_section_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, scalar_data(analysis={"power_max_iter": 100}))
+        assert main(["analyze", path]) == 65
+        assert "'analysis' was unexpected" in capsys.readouterr().err
+
+    def test_power_flags_are_usage_errors(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(CONFIGS / "scalar_ito.json"), "--power-tol", "1e-6"])
+        assert exc.value.code == 64
 
 
 class TestCliSimulate:
@@ -715,7 +733,6 @@ class TestCliIntegerFields:
         [
             ("simulate", "simulation", "n_paths", 20),
             ("simulate", "simulation", "seed", 42),
-            ("analyze", "analysis", "power_max_iter", 100),
         ],
     )
     def test_integral_float_runs_as_the_int(

@@ -49,6 +49,17 @@ class TestValidateNoise:
         with pytest.raises(DimensionMismatch, match=f"^{operand} is ragged"):
             msslab.validate_noise(*args)
 
+    @pytest.mark.parametrize(
+        "operand, args",
+        [
+            ("gamma_cov", (np.zeros((0, 0)), np.zeros((0, 0)))),
+            ("w_cov", ([[0.5]], np.zeros((0, 0)))),
+        ],
+    )
+    def test_empty_covariance_names_the_operand(self, operand, args):
+        with pytest.raises(DimensionMismatch, match=f"^{operand} is empty"):
+            msslab.validate_noise(*args)
+
     def test_zero_gain_covariance_ok(self):
         spec = msslab.validate_noise([[0.0]], [[1.0]])
         assert_array_equal(spec.gamma_factor, [[0.0]])

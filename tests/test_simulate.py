@@ -87,11 +87,14 @@ class TestConfig:
             )
         with pytest.raises(ValueError):
             SimulationConfig(dt=0.1, horizon=1.0, n_paths=1, seed=0, scheme="exact")
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                SimulationConfig(dt=0.1, horizon=1.0, n_paths=1, seed=seed)
 
 
     def test_integral_counts_are_stored_as_ints(self):
-        cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=20.0, seed=np.int64(-3))
-        assert (cfg.n_paths, cfg.seed) == (20, -3)
+        cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=20.0, seed=np.int64(3))
+        assert (cfg.n_paths, cfg.seed) == (20, 3)
         assert type(cfg.n_paths) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize(

@@ -122,6 +122,22 @@ class TestConstructors:
         with pytest.raises(DimensionMismatch, match=f"^{operand} is ragged"):
             msslab.make_state_space(*args)
 
+    @pytest.mark.parametrize(
+        "operand, args",
+        [
+            ("A", (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))),
+            ("B", ([[-1.0]], np.zeros((1, 0)), [[1.0]])),
+            ("C", ([[-1.0]], [[1.0]], np.zeros((0, 1)))),
+        ],
+    )
+    def test_empty_realization_names_the_operand(self, operand, args):
+        with pytest.raises(DimensionMismatch, match=f"^{operand} is empty"):
+            msslab.make_state_space(*args)
+
+    def test_empty_samples_name_the_operand(self):
+        with pytest.raises(DimensionMismatch, match="^samples is empty"):
+            msslab.make_sampled(0.1, np.zeros((3, 0, 0)))
+
     def test_ragged_samples_name_the_operand(self):
         with pytest.raises(DimensionMismatch, match="^samples is ragged"):
             msslab.make_sampled(0.1, [[[1.0]], [[1.0, 2.0]]])

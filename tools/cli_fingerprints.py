@@ -64,6 +64,8 @@ GENERATED = {
         "system": {"dt": 0.1, "samples": [[[1.0]], [["0.5"]], [[0.25]]]},
     },
     "ragged_gamma_cov": {**_SCALAR, "noise": {"gamma_cov": [[0.5], [0.1, 0.2]], "w_cov": [[1.0]]}},
+    # a two-channel gain covariance around the one-channel scalar block
+    "gamma_size": {**_SCALAR, "noise": {"gamma_cov": [[0.5, 0.0], [0.0, 0.5]], "w_cov": [[1.0]]}},
 }
 
 _SMALL = ["--n-paths", "50", "--dt", "0.01", "--horizon", "0.5"]
@@ -139,6 +141,10 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("error.bool_entry", ["analyze", "$TMP/bool_entry.json"]),
         ("error.sampled_string", ["analyze", "$TMP/sampled_string.json"]),
         ("error.ragged_gamma_cov", ["analyze", "$TMP/ragged_gamma_cov.json"]),
+        ("error.gamma_size", ["analyze", "$TMP/gamma_size.json"]),
+        # seeds outside [0, 2^64): refused before any path is drawn
+        ("error.negative_seed", ["simulate", ITO, "--seed", "-1", "--n-paths", "10", "--horizon", "0.1", *_OUT, *_CSV]),
+        ("error.huge_seed", ["simulate", ITO, "--seed", "18446744073709551616", "--n-paths", "10", "--horizon", "0.1", *_OUT, *_CSV]),
         ("error.missing_config", ["analyze", "$TMP/absent.json"]),
         ("error.invalid_json", ["analyze", "$TMP/broken.json"]),
         ("error.unwritable_out", ["analyze", ITO, "--out", "$TMP/no_such_dir/report.json"]),
